@@ -10,10 +10,10 @@ its own line (e_ell(P, phi(P)) != 1).
 
 import random
 
-from .curve import Point, scalar_mul
+from .curve import Point, PointNotOnCurve, scalar_mul
 from .endo import RationalEndomorphism, endo_eval
 from .pairing import weil_pairing
-from .torsion import TorsionBasis, dlog2d
+from .torsion import NotInTorsion, TorsionBasis, dlog2d
 
 
 class NotADistortionMap(ValueError):
@@ -40,7 +40,7 @@ def _subgroup_dlog(B: TorsionBasis, A: Point) -> int:
     """dlog of A in <P>; raises InstanceInvalid outside the subgroup."""
     try:
         a, b = dlog2d(B, A)
-    except Exception as exc:
+    except (NotInTorsion, PointNotOnCurve) as exc:
         raise InstanceInvalid(f"{A} is not in E[{B.ell}]") from exc
     if b != 0:
         raise InstanceInvalid(f"{A} is not in <P> (Q-component {b})")

@@ -5,8 +5,17 @@ t = 2 mod ell and q = 1 mod ell.
 """
 
 import random
+from functools import cached_property
 
-from .curve import Curve, FrobeniusData, Point, PointNotOnCurve, point_add, scalar_mul
+from .curve import (
+    Curve,
+    FrobeniusData,
+    Point,
+    PointNotOnCurve,
+    point_add,
+    point_neg,
+    scalar_mul,
+)
 from .field import is_prime
 from .pairing import weil_pairing
 
@@ -74,6 +83,18 @@ class TorsionBasis:
     def ell(self) -> int:
         return self.ctx.ell
 
+    @cached_property
+    def q_multiples(self) -> dict:
+        """Baby-step table {b*Q: b for b in 0 .. ell-1}, built on first use
+        with ell - 1 point additions and kept for the life of the basis."""
+        C = self.curve
+        table = {None: 0}
+        T: Point = None
+        for b in range(1, self.ell):
+            T = point_add(C, T, self.Q)
+            table[T] = b
+        return table
+
     def combine(self, a: int, b: int) -> Point:
         """a*P + b*Q."""
         C = self.curve
@@ -120,29 +141,35 @@ def find_torsion_basis(ctx: TorsionContext, seed: int = 0) -> TorsionBasis:
         Q = _random_ell_torsion_point(ctx, rng)
         if Q is None:
             continue
-        e = weil_pairing(ctx.curve, ctx.ell, P, Q)
-        if not e.is_trivial():
+        try:
             return TorsionBasis(ctx, P, Q)
+        except NotInTorsion:
+            continue
     raise SamplingExhausted(
         f"no independent second generator in {budget} trials (ell={ctx.ell})"
     )
 
 
 def dlog2d(B: TorsionBasis, R: Point) -> tuple:
-    """The unique (a, b) mod ell with R = a*P + b*Q, by exhaustive search."""
+    """The unique (a, b) mod ell with R = a*P + b*Q, by baby-step/giant-step.
+
+    Giant steps walk R, R - P, R - 2P, ... until one lands in the basis's
+    cached table of the multiples of Q: at most ell point additions per
+    call, plus ell - 1 once per basis to build the table.
+    """
     C = B.curve
     ell = B.ell
     R = C.validate(R)
     if scalar_mul(C, ell, R) is not None:
         raise NotInTorsion(f"{R} is not killed by {ell}")
-    aP: Point = None
+    table = B.q_multiples
+    neg_P = point_neg(C, B.P)
+    T = R
     for a in range(ell):
-        T = aP
-        for b in range(ell):
-            if T == R:
-                return (a, b)
-            T = point_add(C, T, B.Q)
-        aP = point_add(C, aP, B.P)
+        b = table.get(T)
+        if b is not None:
+            return (a, b)
+        T = point_add(C, T, neg_P)
     raise NotInTorsion(f"{R} not expressible in the basis (corrupt basis?)")
 
 

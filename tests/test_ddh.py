@@ -11,6 +11,7 @@ from distmap.ddh import (
     ddh_sample,
 )
 from distmap.endo import make_catalog_endo, shifted_endo
+from distmap.field import ZeroInverse
 from distmap.pairing import weil_pairing
 
 
@@ -46,6 +47,26 @@ def test_scalar_endo_rejected(basis5, ex2_curve):
 def test_membership_enforced(basis5, alpha, ex2_curve):
     inst = DdhInstance(basis5.P, (basis5.Q, basis5.P, basis5.P))
     with pytest.raises(InstanceInvalid):
+        ddh_decide(basis5, alpha, inst)
+
+
+@pytest.mark.parametrize(
+    "A",
+    [(1, 1), (693, 229)],  # off the curve; order 7 (700 = 4 * 25 * 7)
+)
+def test_member_outside_torsion_is_invalid(basis5, alpha, A):
+    inst = DdhInstance(basis5.P, (basis5.P, A, basis5.P))
+    with pytest.raises(InstanceInvalid):
+        ddh_decide(basis5, alpha, inst)
+
+
+def test_internal_dlog_fault_propagates(basis5, alpha, ex2_curve, monkeypatch):
+    def broken(B, R):
+        raise ZeroInverse("inverse of 0")
+
+    monkeypatch.setattr("distmap.ddh.dlog2d", broken)
+    inst = triple_of(ex2_curve, basis5.P, 2, 3, 6)
+    with pytest.raises(ZeroInverse):
         ddh_decide(basis5, alpha, inst)
 
 

@@ -1,8 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from distmap.curve import Curve, count_points, scalar_mul
+from distmap import torsion
+from distmap.curve import Curve, FrobeniusData, count_points, point_add, scalar_mul
 from distmap.field import PrimeField
 from distmap.pairing import weil_pairing
 from distmap.torsion import (
@@ -14,6 +17,64 @@ from distmap.torsion import (
     enumerate_subgroups,
     find_torsion_basis,
 )
+
+
+# y^2 = x^3 + A*x over F_p with E[31] rational: CM by Z[i] with Frobenius
+# pi = (1 + 31c) + 31d*i, so #E = N(pi - 1) = 31^2 (c^2 + d^2).
+P31, A31, N31 = 1437396469, 529490715, 1437396530
+
+
+def _fresh_basis(ell):
+    """A newly built basis whose table of multiples of Q is still empty."""
+    if ell == 7:
+        # y^2 = x^3 + 3 over F_43: order 49, t = -5 = 2 mod 7
+        C = Curve(PrimeField(43), 0, 3)
+        fd = count_points(C)
+    elif ell == 31:
+        C = Curve(PrimeField(P31), A31, 0)
+        fd = FrobeniusData(P31, N31, P31 + 1 - N31)
+    else:
+        C = Curve(PrimeField(701), -35, 98)
+        fd = count_points(C)
+    return find_torsion_basis(TorsionContext(ell, C, fd))
+
+
+@pytest.fixture(scope="module")
+def basis31():
+    return _fresh_basis(31)
+
+
+def _dlog_reference(B, R):
+    """Brute-force scan of all ell^2 combinations a*P + b*Q."""
+    C = B.curve
+    aP = None
+    for a in range(B.ell):
+        T = aP
+        for b in range(B.ell):
+            if T == R:
+                return (a, b)
+            T = point_add(C, T, B.Q)
+        aP = point_add(C, aP, B.P)
+    return None
+
+
+@pytest.fixture()
+def torsion_calls(monkeypatch):
+    """Counts point_add and weil_pairing calls made through distmap.torsion."""
+    calls = {"point_add": 0, "weil_pairing": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(torsion, "point_add", counted("point_add", point_add))
+    monkeypatch.setattr(
+        torsion, "weil_pairing", counted("weil_pairing", weil_pairing)
+    )
+    return calls
 
 
 def test_paper_basis_ell5_validates(basis5):
@@ -79,17 +140,15 @@ def test_dlog_paper_image(basis5):
 
 @pytest.mark.parametrize("ell", [2, 5, 7])
 def test_dlog_round_trip_exhaustive(ell):
-    # use a curve with rational ell-torsion for each ell
-    if ell == 7:
-        # y^2 = x^3 + 3 over F_43: order 49, t = -5 = 2 mod 7
-        C = Curve(PrimeField(43), 0, 3)
-    else:
-        C = Curve(PrimeField(701), -35, 98)
-    fd = count_points(C)
-    ctx = TorsionContext(ell, C, fd)
-    B = find_torsion_basis(ctx)
+    B = _fresh_basis(ell)
     for a, b in itertools.product(range(ell), repeat=2):
-        assert dlog2d(B, B.combine(a, b)) == (a, b)
+        R = B.combine(a, b)
+        assert dlog2d(B, R) == _dlog_reference(B, R) == (a, b)
+
+
+@given(a=st.integers(0, 30), b=st.integers(0, 30))
+def test_dlog_round_trip_ell31(basis31, a, b):
+    assert dlog2d(basis31, basis31.combine(a, b)) == (a, b)
 
 
 def test_dlog_rejects_non_torsion(basis5, ex2_curve):
@@ -97,6 +156,63 @@ def test_dlog_rejects_non_torsion(basis5, ex2_curve):
     A = scalar_mul(ex2_curve, 100, ex2_curve.lift_x(2))
     with pytest.raises(NotInTorsion):
         dlog2d(basis5, A)
+
+
+def test_dlog_rejects_order_ell_squared():
+    # y^2 = x^3 + 2x + 111 over F_131: E(F_131) = Z/5 x Z/25
+    C = Curve(PrimeField(131), 2, 111)
+    B = find_torsion_basis(TorsionContext(5, C, count_points(C)))
+    A = (1, 30)
+    assert scalar_mul(C, 5, A) is not None and scalar_mul(C, 25, A) is None
+    with pytest.raises(NotInTorsion):
+        dlog2d(B, A)
+
+
+def test_dlog_rejects_order_prime_to_ell31(basis31):
+    C = basis31.curve
+    A = scalar_mul(C, 31 * 31, C.lift_x(4))
+    assert A is not None and scalar_mul(C, N31 // (31 * 31), A) is None
+    with pytest.raises(NotInTorsion):
+        dlog2d(basis31, A)
+
+
+@pytest.mark.parametrize("ell", [2, 5, 7, 31])
+def test_dlog_point_add_counts(torsion_calls, ell):
+    B = _fresh_basis(ell)
+    assert torsion_calls["point_add"] == 0  # the table is built lazily
+    table = B.q_multiples
+    assert torsion_calls["point_add"] == ell - 1
+    assert table == {scalar_mul(B.curve, b, B.Q): b for b in range(ell)}
+    for a, b in itertools.product(range(ell), repeat=2):
+        R = B.combine(a, b)
+        before = torsion_calls["point_add"]
+        assert dlog2d(B, R) == (a, b)
+        assert torsion_calls["point_add"] - before <= ell
+
+
+def test_find_basis_one_pairing_per_candidate(
+    torsion_calls, monkeypatch, ex2_curve, ex2_frob
+):
+    draws = []
+    draw = torsion._random_ell_torsion_point
+
+    def recorded(ctx, rng):
+        A = draw(ctx, rng)
+        if A is not None:
+            draws.append(A)
+        return A
+
+    monkeypatch.setattr(torsion, "_random_ell_torsion_point", recorded)
+    ctx = TorsionContext(2, ex2_curve, ex2_frob)
+    candidates = 0
+    for seed in range(20):
+        draws.clear()
+        torsion_calls["weil_pairing"] = 0
+        find_torsion_basis(ctx, seed)
+        # the first successful draw is P, every later one a Q candidate
+        assert torsion_calls["weil_pairing"] == len(draws) - 1
+        candidates += len(draws) - 1
+    assert candidates > 20  # some seeds drew a Q inside <P> and retried
 
 
 def test_enumerate_subgroups_ell2(basis2):
