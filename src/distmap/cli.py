@@ -21,7 +21,6 @@ from .classify import (
 from .curve import (
     BadReduction,
     Curve,
-    CurveTooLarge,
     PointNotOnCurve,
     SupersingularCurve,
     count_points,
@@ -54,7 +53,6 @@ INPUT_ERRORS = (
     BadReduction,
     PointNotOnCurve,
     SupersingularCurve,
-    CurveTooLarge,
     IncompatibleCurve,
     TorsionNotRational,
     NotTorsion,
@@ -329,12 +327,15 @@ def cmd_paper_examples(args) -> int:
     rows = _paper_example_rows()
     failures = 0
     for label, check in rows:
+        reason = "check returned false"
         try:
             ok = bool(check())
-        except Exception:
+        except Exception as exc:
             ok = False
+            reason = f"{type(exc).__name__}: {exc}"
         if not ok:
             failures += 1
+            print(f"reason[{label}]={reason}", file=sys.stderr)
         print(f"{'PASS' if ok else 'FAIL'}  {label}")
     print(f"total={len(rows)} failed={failures}")
     return 0 if failures == 0 else 1

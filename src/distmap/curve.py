@@ -22,10 +22,6 @@ class SupersingularCurve(ValueError):
     """The curve is supersingular (p | t); out of scope."""
 
 
-class CurveTooLarge(ValueError):
-    """Modulus exceeds what the selected counting mode supports."""
-
-
 class BadReduction(ValueError):
     """Reduction mod p hits a denominator or yields a singular curve."""
 
@@ -116,10 +112,13 @@ def point_neg(C: Curve, A: Point) -> Point:
     return (x, -y % C.p)
 
 
-def point_add(C: Curve, A: Point, B: Point) -> Point:
-    """Chord-tangent group law."""
-    A = C.validate(A)
-    B = C.validate(B)
+def _add(C: Curve, A: Point, B: Point) -> Point:
+    """Chord-tangent group law for points already known to lie on C.
+
+    The unchecked core under point_add: the operands must be canonical
+    points of C (validated, or computed from validated points), so the
+    slope's denominator is never 0 mod p.
+    """
     if A is None:
         return B
     if B is None:
@@ -131,28 +130,38 @@ def point_add(C: Curve, A: Point, B: Point) -> Point:
         if (y1 + y2) % p == 0:
             return None
         # doubling (y1 == y2 != 0 here)
-        lam = (3 * x1 * x1 + C.a4) * C.field.inv(2 * y1) % p
+        lam = (3 * x1 * x1 + C.a4) * pow(2 * y1, -1, p) % p
     else:
-        lam = (y2 - y1) * C.field.inv(x2 - x1) % p
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
     x3 = (lam * lam - x1 - x2) % p
     y3 = (lam * (x1 - x3) - y1) % p
     return (x3, y3)
 
 
-def scalar_mul(C: Curve, k: int, A: Point) -> Point:
-    """k*A by double-and-add; negative k uses the inverse point."""
-    A = C.validate(A)
+def _mul(C: Curve, k: int, A: Point) -> Point:
+    """k*A by double-and-add for A already known to lie on C; negative k
+    uses the inverse point."""
     if k < 0:
         k, A = -k, point_neg(C, A)
     R: Point = None
     Q = A
     while k:
         if k & 1:
-            R = point_add(C, R, Q)
+            R = _add(C, R, Q)
         k >>= 1
         if k:
-            Q = point_add(C, Q, Q)
+            Q = _add(C, Q, Q)
     return R
+
+
+def point_add(C: Curve, A: Point, B: Point) -> Point:
+    """Chord-tangent group law; raises PointNotOnCurve for an operand off C."""
+    return _add(C, C.validate(A), C.validate(B))
+
+
+def scalar_mul(C: Curve, k: int, A: Point) -> Point:
+    """k*A by double-and-add; negative k uses the inverse point."""
+    return _mul(C, k, C.validate(A))
 
 
 def _count_exhaustive(C: Curve) -> int:
@@ -176,10 +185,10 @@ def _point_order_bsgs(C: Curve, A: Point) -> int:
     Q: Point = None
     for j in range(m + 1):
         baby.setdefault(Q, j)
-        Q = point_add(C, Q, A)
+        Q = _add(C, Q, A)
     lo = p + 1 - w
-    base = scalar_mul(C, lo, A)
-    giant = scalar_mul(C, m + 1, A)
+    base = _mul(C, lo, A)
+    giant = _mul(C, m + 1, A)
     giant_neg = point_neg(C, giant)
     R = point_neg(C, base)
     M = None
@@ -188,7 +197,7 @@ def _point_order_bsgs(C: Curve, A: Point) -> int:
         if R in baby:
             M = lo + i * (m + 1) + baby[R]
             break
-        R = point_add(C, R, giant_neg)
+        R = _add(C, R, giant_neg)
     if M is None or M == 0:
         raise RuntimeError("BSGS failed to find an annihilating multiple")
     # strip prime factors to get the exact order
@@ -198,10 +207,10 @@ def _point_order_bsgs(C: Curve, A: Point) -> int:
     while f * f <= rem:
         while rem % f == 0:
             rem //= f
-            if scalar_mul(C, order // f, A) is None:
+            if _mul(C, order // f, A) is None:
                 order //= f
         f += 1
-    if rem > 1 and scalar_mul(C, order // rem, A) is None:
+    if rem > 1 and _mul(C, order // rem, A) is None:
         order //= rem
     return order
 

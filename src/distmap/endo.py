@@ -14,7 +14,7 @@ Denominator zeros (kernel points) map to the identity.
 
 import re
 
-from .curve import Curve, Point, point_add, scalar_mul
+from .curve import Curve, Point, _add, _mul
 from .torsion import TorsionBasis, dlog2d
 
 
@@ -127,9 +127,9 @@ def endo_eval(e: RationalEndomorphism, A: Point) -> Point:
     C = e.curve
     A = C.validate(A)
     if e.kind == "scalar":
-        return scalar_mul(C, e.scalar_k, A)
+        return _mul(C, e.scalar_k, A)
     if e.kind == "shifted":
-        return point_add(C, endo_eval(e.base, A), scalar_mul(C, e.shift, A))
+        return _add(C, endo_eval(e.base, A), _mul(C, e.shift, A))
     if A is None:
         return None
     p = C.p

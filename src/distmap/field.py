@@ -58,30 +58,12 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.p})"
 
-    def reduce(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse of a mod p."""
         a %= self.p
         if a == 0:
             raise ZeroInverse(f"0 has no inverse mod {self.p}")
-        return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return a * self.inv(b) % self.p
+        return pow(a, -1, self.p)
 
     def legendre(self, a: int) -> int:
         """Legendre symbol (a|p) in {-1, 0, 1} via Euler's criterion."""

@@ -8,7 +8,7 @@ y^2 = x^3 - 35x + 98 over F_701 the 5-torsion basis point P = (224, 31)
 pairs with its alpha-image (173, 194) to 464.
 """
 
-from .curve import Curve, Point, point_add, point_neg, scalar_mul
+from .curve import Curve, Point, _add, _mul, point_neg
 
 
 class DivisorCollision(ArithmeticError):
@@ -49,36 +49,37 @@ class PairingValue:
         return 1 if self.value == 1 else self.ell
 
 
-def _line_value(C: Curve, U: Point, V: Point, X: Point) -> int:
-    """Value at X of the line used when adding U + V.
+def _step(C: Curve, U: Point, V: Point, X: Point) -> tuple:
+    """One step of Miller's loop, from a single slope: the value at X of
+    the line through U and V, the value at X of the vertical through
+    U + V, and U + V itself.
 
-    For U = V with vertical tangent (y = 0), and for U = -V, this is the
-    vertical line through U.  Either point being the identity degenerates
-    to the vertical through the other (constant 1 if both are identity).
+    U and V are points of C.  For U = V with vertical tangent (y = 0),
+    and for U = -V, the line is the vertical through U and the sum is the
+    identity, whose vertical is the constant 1.  Either point being the
+    identity degenerates to the vertical through the other.
     """
     p = C.p
     x, y = X
-    if U is None and V is None:
-        return 1
-    if U is None:
-        return (x - V[0]) % p
-    if V is None:
-        return (x - U[0]) % p
+    if U is None or V is None:
+        W = V if U is None else U
+        if W is None:
+            return 1, 1, None
+        v = (x - W[0]) % p
+        return v, v, W
+    # curve._add's slope and sum, inlined so one inversion serves both
+    # the line and the sum in the innermost loop of every pairing
     x1, y1 = U
     x2, y2 = V
-    if x1 == x2 and (y1 + y2) % p == 0:
-        return (x - x1) % p
-    if U == V:
-        lam = (3 * x1 * x1 + C.a4) * C.field.inv(2 * y1) % p
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return (x - x1) % p, 1, None
+        lam = (3 * x1 * x1 + C.a4) * pow(2 * y1, -1, p) % p
     else:
-        lam = (y2 - y1) * C.field.inv(x2 - x1) % p
-    return (y - y1 - lam * (x - x1)) % p
-
-
-def _vertical_value(C: Curve, U: Point, X: Point) -> int:
-    if U is None:
-        return 1
-    return (X[0] - U[0]) % C.p
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    y3 = (lam * (x1 - x3) - y1) % p
+    return (y - y1 - lam * (x - x1)) % p, (x - x3) % p, (x3, y3)
 
 
 def _miller_at_point(C: Curve, ell: int, A: Point, X: Point) -> int:
@@ -93,22 +94,24 @@ def _miller_at_point(C: Curve, ell: int, A: Point, X: Point) -> int:
     T = A
     num, den = 1, 1
     for bit in bin(ell)[3:]:
-        l = _line_value(C, T, T, X)
-        T2 = point_add(C, T, T)
-        v = _vertical_value(C, T2, X)
+        l, v, T = _step(C, T, T, X)
         num = num * num % p * l % p
         den = den * den % p * v % p
-        T = T2
         if bit == "1":
-            l = _line_value(C, T, A, X)
-            TA = point_add(C, T, A)
-            v = _vertical_value(C, TA, X)
+            l, v, T = _step(C, T, A, X)
             num = num * l % p
             den = den * v % p
-            T = TA
     if num == 0 or den == 0:
         raise DivisorCollision(f"Miller line vanished at {X}")
-    return num * C.field.inv(den) % p
+    return num * pow(den, -1, p) % p
+
+
+def _miller_eval(C: Curve, ell: int, A: Point, D: tuple) -> int:
+    """miller_eval for A already known to lie on C."""
+    X1, X2 = D
+    return _miller_at_point(C, ell, A, X1) * pow(
+        _miller_at_point(C, ell, A, X2), -1, C.p
+    ) % C.p
 
 
 def miller_eval(C: Curve, ell: int, A: Point, D: tuple) -> int:
@@ -116,10 +119,7 @@ def miller_eval(C: Curve, ell: int, A: Point, D: tuple) -> int:
 
     D is the pair (X1, X2) of affine points carrying the divisor.
     """
-    X1, X2 = D
-    return _miller_at_point(C, ell, A, X1) * C.field.inv(
-        _miller_at_point(C, ell, A, X2)
-    ) % C.p
+    return _miller_eval(C, ell, C.validate(A), D)
 
 
 def _aux_points(C: Curve, limit: int = 16):
@@ -150,25 +150,30 @@ def weil_pairing(C: Curve, ell: int, A: Point, B: Point) -> PairingValue:
     """
     A = C.validate(A)
     B = C.validate(B)
-    if scalar_mul(C, ell, A) is not None or scalar_mul(C, ell, B) is not None:
+    if _mul(C, ell, A) is not None or _mul(C, ell, B) is not None:
         raise NotTorsion(f"arguments must lie in E[{ell}]")
+    return _weil(C, ell, A, B)
+
+
+def _weil(C: Curve, ell: int, A: Point, B: Point) -> PairingValue:
+    """weil_pairing for A, B already known to lie in E[ell] on C."""
     if A is None or B is None:
         return PairingValue(C, ell, 1)
     p = C.p
     last_exc = None
     for S in _aux_points(C):
         try:
-            BS = point_add(C, B, S)
-            AmS = point_add(C, A, point_neg(C, S))
             nS = point_neg(C, S)
-            if BS is None or AmS is None or S is None:
+            BS = _add(C, B, S)
+            AmS = _add(C, A, nS)
+            if BS is None or AmS is None:
                 raise DivisorCollision("degenerate offset")
             # e(A,B) = [f_B(A-S)/f_B(-S)] / [f_A(B+S)/f_A(S)]
             # (of the two inverse-of-each-other orientations, this is the
             # one matching the pinned golden value 464)
-            fa = miller_eval(C, ell, A, (BS, S))
-            fb = miller_eval(C, ell, B, (AmS, nS))
-            return PairingValue(C, ell, fb * C.field.inv(fa) % p)
+            fa = _miller_eval(C, ell, A, (BS, S))
+            fb = _miller_eval(C, ell, B, (AmS, nS))
+            return PairingValue(C, ell, fb * pow(fa, -1, p) % p)
         except DivisorCollision as exc:
             last_exc = exc
             continue

@@ -12,12 +12,12 @@ from .curve import (
     FrobeniusData,
     Point,
     PointNotOnCurve,
-    point_add,
+    _add,
+    _mul,
     point_neg,
-    scalar_mul,
 )
 from .field import is_prime
-from .pairing import weil_pairing
+from .pairing import _weil
 
 ELL_CAP = 997
 
@@ -64,16 +64,22 @@ class TorsionBasis:
     def __init__(self, ctx: TorsionContext, P: Point, Q: Point):
         C = ctx.curve
         ell = ctx.ell
+        basis = []
         for A in (P, Q):
-            if A is None or scalar_mul(C, ell, A) is not None:
+            V = C.validate(A)
+            if V is None or _mul(C, ell, V) is not None:
                 raise NotInTorsion(f"{A} does not have exact order {ell}")
-        e = weil_pairing(C, ell, P, Q)
+            basis.append(V)
+        P, Q = basis
+        e = _weil(C, ell, P, Q)
         if e.is_trivial():
             raise NotInTorsion("pairing e(P, Q) = 1: Q lies in <P>, not a basis")
         self.ctx = ctx
-        self.P = C.validate(P)
-        self.Q = C.validate(Q)
+        self.P = P
+        self.Q = Q
         self.pairing_pq = e
+        # phi -> whether phi distorts <P>, filled in by ddh.ddh_decide
+        self.distorts = {}
 
     @property
     def curve(self) -> Curve:
@@ -91,14 +97,14 @@ class TorsionBasis:
         table = {None: 0}
         T: Point = None
         for b in range(1, self.ell):
-            T = point_add(C, T, self.Q)
+            T = _add(C, T, self.Q)
             table[T] = b
         return table
 
     def combine(self, a: int, b: int) -> Point:
         """a*P + b*Q."""
         C = self.curve
-        return point_add(C, scalar_mul(C, a, self.P), scalar_mul(C, b, self.Q))
+        return _add(C, _mul(C, a, self.P), _mul(C, b, self.Q))
 
     def __repr__(self):
         return f"TorsionBasis(ell={self.ell}, P={self.P}, Q={self.Q})"
@@ -119,10 +125,10 @@ def _random_ell_torsion_point(ctx: TorsionContext, rng: random.Random) -> Point:
         return None
     if rng.randrange(2):
         A = (A[0], -A[1] % C.p)
-    A = scalar_mul(C, m, A)
+    A = _mul(C, m, A)
     # A now has ell-power order; walk down to exact order ell
-    while A is not None and scalar_mul(C, ell, A) is not None:
-        A = scalar_mul(C, ell, A)
+    while A is not None and _mul(C, ell, A) is not None:
+        A = _mul(C, ell, A)
     return A
 
 
@@ -160,7 +166,7 @@ def dlog2d(B: TorsionBasis, R: Point) -> tuple:
     C = B.curve
     ell = B.ell
     R = C.validate(R)
-    if scalar_mul(C, ell, R) is not None:
+    if _mul(C, ell, R) is not None:
         raise NotInTorsion(f"{R} is not killed by {ell}")
     table = B.q_multiples
     neg_P = point_neg(C, B.P)
@@ -169,7 +175,7 @@ def dlog2d(B: TorsionBasis, R: Point) -> tuple:
         b = table.get(T)
         if b is not None:
             return (a, b)
-        T = point_add(C, T, neg_P)
+        T = _add(C, T, neg_P)
     raise NotInTorsion(f"{R} not expressible in the basis (corrupt basis?)")
 
 

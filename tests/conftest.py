@@ -2,12 +2,44 @@ import pytest
 
 from distmap import (
     Curve,
+    FrobeniusData,
     PrimeField,
     TorsionBasis,
     TorsionContext,
     count_points,
+    find_torsion_basis,
     make_catalog_endo,
 )
+
+# y^2 = x^3 + A*x over F_p with E[31] rational: CM by Z[i] with Frobenius
+# pi = (1 + 31c) + 31d*i, so #E = N(pi - 1) = 31^2 (c^2 + d^2).  31 is
+# inert in Z[i], so [i] distorts every order-31 subgroup.
+P31, A31, N31 = 1437396469, 529490715, 1437396530
+
+
+def _fresh_basis(ell):
+    """A newly built basis, with nothing cached yet, for ell in {2, 5, 7, 31}."""
+    if ell == 7:
+        # y^2 = x^3 + 3 over F_43: order 49, t = -5 = 2 mod 7
+        C = Curve(PrimeField(43), 0, 3)
+        fd = count_points(C)
+    elif ell == 31:
+        C = Curve(PrimeField(P31), A31, 0)
+        fd = FrobeniusData(P31, N31, P31 + 1 - N31)
+    else:
+        C = Curve(PrimeField(701), -35, 98)
+        fd = count_points(C)
+    return find_torsion_basis(TorsionContext(ell, C, fd))
+
+
+@pytest.fixture(scope="session")
+def fresh_basis():
+    return _fresh_basis
+
+
+@pytest.fixture(scope="session")
+def basis31():
+    return _fresh_basis(31)
 
 
 @pytest.fixture(scope="session")

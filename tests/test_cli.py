@@ -150,3 +150,52 @@ def test_paper_examples_deterministic(capsys):
     code2, out2 = run(capsys, "paper-examples")
     assert out1 == out2 and code1 == code2
     assert "PASS" in out1
+
+
+PAPER_EXAMPLES_STDOUT = """\
+PASS  ex2 point count #E=700 t=2
+PASS  ex2 alpha(224,31)=(173,194)
+PASS  ex2 alpha(573,450)=(463,495)
+PASS  ex2 e_5(P,alpha(P))=464
+FAIL  ex2 e_5(Q,alpha(Q))=89
+PASS  ex2 matrix (0 -1 / 2 1) mod 5
+PASS  ex2 trace=1 det=2 charpoly irreducible mod 5
+PASS  ex2 classify ell=5 Inert, census 6/6
+PASS  ex3 alpha(319,0)=O alpha(389,0)=(389,0)
+PASS  ex3 matrix diag(0,1), eigenvalues 0 and 1
+PASS  ex3 classify ell=2 Split, census 1/3
+PASS  ex1 p=5 [i] fixes <(0,0)>, Ramified, census 2/3
+PASS  ex1 p=13 [i] fixes <(0,0)>, Ramified, census 2/3
+PASS  ex1 p=17 [i] fixes <(0,0)>, Ramified, census 2/3
+PASS  ex1 p=29 [i] fixes <(0,0)>, Ramified, census 2/3
+PASS  ex4 reduction mod 13 ok, NoDistortion, mod 11 bad
+PASS  ddh exhaustive 125 triples on ex2
+total=17 failed=1
+"""
+
+
+def test_paper_examples_reason_on_stderr(capsys):
+    # the published 89 is inconsistent with 464 (see test_pairing), so that
+    # row is the one red row; its reason goes to stderr, stdout is unchanged
+    code = main(["paper-examples"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == PAPER_EXAMPLES_STDOUT
+    assert captured.err.splitlines() == [
+        "reason[ex2 e_5(Q,alpha(Q))=89]=check returned false"
+    ]
+
+
+def test_paper_examples_reason_names_exception(capsys, monkeypatch):
+    def broken():
+        raise ValueError("boom")
+
+    monkeypatch.setattr(
+        "distmap.cli._paper_example_rows",
+        lambda: [("ok row", lambda: True), ("broken row", broken)],
+    )
+    code = main(["paper-examples"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "PASS  ok row\nFAIL  broken row\ntotal=2 failed=1\n"
+    assert captured.err == "reason[broken row]=ValueError: boom\n"

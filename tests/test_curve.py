@@ -38,6 +38,12 @@ def test_point_validation():
     C = Curve(PrimeField(701), -35, 98)
     with pytest.raises(PointNotOnCurve):
         point_add(C, (1, 1), None)
+    with pytest.raises(PointNotOnCurve):
+        point_add(C, (224, 31), (1, 1))
+    with pytest.raises(PointNotOnCurve):
+        scalar_mul(C, 0, (1, 1))
+    with pytest.raises(PointNotOnCurve):
+        scalar_mul(C, -3, (1, 1))
 
 
 def test_identity_law(ex2_curve):

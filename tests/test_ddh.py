@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from distmap.curve import scalar_mul
+from distmap import ddh
+from distmap.curve import Curve, PointNotOnCurve, scalar_mul
 from distmap.ddh import (
     DdhInstance,
     InstanceInvalid,
@@ -10,9 +11,10 @@ from distmap.ddh import (
     ddh_decide,
     ddh_sample,
 )
-from distmap.endo import make_catalog_endo, shifted_endo
-from distmap.field import ZeroInverse
-from distmap.pairing import weil_pairing
+from distmap.endo import endo_eval, make_catalog_endo, shifted_endo
+from distmap.field import PrimeField, ZeroInverse
+from distmap.pairing import NotTorsion, weil_pairing
+from distmap.torsion import TorsionBasis
 
 
 def triple_of(C, P, a, b, c):
@@ -148,3 +150,107 @@ def test_sample_ell2_edge(basis2_distorted, alpha):
         a, b, c = inst.truth
         assert c != a * b % 2
         assert ddh_decide(basis2_distorted, alpha, inst) is False
+
+
+def _fresh(B):
+    """A new basis on the same points, with nothing cached yet."""
+    return TorsionBasis(B.ctx, B.P, B.Q)
+
+
+@pytest.fixture()
+def validate_calls(monkeypatch):
+    calls = []
+    validate = Curve.validate
+
+    def counted(self, A):
+        calls.append(A)
+        return validate(self, A)
+
+    monkeypatch.setattr(Curve, "validate", counted)
+    return calls
+
+
+@pytest.fixture()
+def weil_calls(monkeypatch):
+    calls = []
+    weil = ddh._weil
+
+    def counted(*args):
+        calls.append(args)
+        return weil(*args)
+
+    monkeypatch.setattr(ddh, "_weil", counted)
+    return calls
+
+
+def test_validate_calls_per_decision_flat_in_ell(
+    validate_calls, basis5, alpha, basis31
+):
+    phi31 = make_catalog_endo("sqrt_minus_one", basis31.curve)
+    per_decision = {}
+    for B, phi in ((basis5, alpha), (basis31, phi31)):
+        insts = [ddh_sample(B, honest=s % 2 == 0, seed=s) for s in range(6)]
+        ddh_decide(B, phi, insts[0])  # warm: tables and caches filled
+        counts = set()
+        for inst in insts:
+            before = len(validate_calls)
+            assert ddh_decide(B, phi, inst) == (inst.truth[0] * inst.truth[1]
+                                                 % B.ell == inst.truth[2])
+            counts.add(len(validate_calls) - before)
+        per_decision[B.ell] = counts
+    assert per_decision[5] == per_decision[31]
+    assert max(per_decision[5]) <= 8
+
+
+def test_distortion_check_paired_once_per_phi(weil_calls, basis5, alpha):
+    B = _fresh(basis5)
+    inst = ddh_sample(B, honest=True, seed=1)
+    ddh_decide(B, alpha, inst)
+    assert len(weil_calls) == 3
+    for seed in range(4):
+        weil_calls.clear()
+        ddh_decide(B, alpha, ddh_sample(B, honest=seed % 2 == 0, seed=seed))
+        assert len(weil_calls) == 2
+    weil_calls.clear()
+    ddh_decide(B, shifted_endo(alpha, 1), inst)  # a new phi: checked afresh
+    assert len(weil_calls) == 3
+    assert len(B.distorts) == 2
+
+
+def test_cached_non_distortion_still_raises(weil_calls, basis5, ex2_curve):
+    B = _fresh(basis5)
+    phi = make_catalog_endo("scalar(2)", ex2_curve)
+    inst = triple_of(ex2_curve, B.P, 2, 3, 6)
+    for _ in range(2):
+        with pytest.raises(NotADistortionMap):
+            ddh_decide(B, phi, inst)
+    assert len(weil_calls) == 1
+
+
+def test_image_outside_torsion_raises_not_torsion(
+    basis5, alpha, ex2_curve, monkeypatch
+):
+    # a map that sends S to a point of order 7 is no endomorphism, but the
+    # pairing's E[ell] check still catches it
+    S = scalar_mul(ex2_curve, 3, basis5.P)
+    order7 = (693, 229)
+
+    def fake_eval(phi, A):
+        return order7 if A == S else endo_eval(phi, A)
+
+    monkeypatch.setattr("distmap.ddh.endo_eval", fake_eval)
+    inst = triple_of(ex2_curve, basis5.P, 2, 3, 6)
+    with pytest.raises(NotTorsion):
+        ddh_decide(_fresh(basis5), alpha, inst)
+
+
+def test_map_on_another_curve_rejected(basis5, ex2_curve):
+    # y^2 = x^3 + a4*x over F_701 through P = (224, 31): [i] is defined on
+    # that curve and accepts P, but sends it off the basis's curve
+    x, y = basis5.P
+    a4 = (y * y - x ** 3) * pow(x, -1, 701) % 701
+    phi = make_catalog_endo("sqrt_minus_one", Curve(PrimeField(701), a4, 0))
+    assert not ex2_curve.contains(endo_eval(phi, basis5.P))
+    inst = triple_of(ex2_curve, basis5.P, 2, 3, 6)
+    with pytest.raises(PointNotOnCurve):
+        ddh_decide(_fresh(basis5), phi, inst)
