@@ -20,6 +20,7 @@ from .classify import (
 )
 from .curve import (
     BadReduction,
+    CountingExhausted,
     Curve,
     PointNotOnCurve,
     SupersingularCurve,
@@ -59,6 +60,7 @@ INPUT_ERRORS = (
     InstanceInvalid,
     NotADistortionMap,
     SamplingExhausted,
+    CountingExhausted,
     DivisorCollision,
 )
 

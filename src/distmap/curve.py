@@ -4,6 +4,7 @@ Points are affine tuples (x, y) with the identity represented as None,
 mirroring the usual small-curve idiom.  All functions are pure.
 """
 
+import random
 from math import gcd, isqrt
 from typing import Optional, Tuple
 
@@ -11,7 +12,12 @@ from .field import PrimeField
 
 Point = Optional[Tuple[int, int]]
 
-EXHAUSTIVE_LIMIT = 1 << 24
+# Above 229, E or its quadratic twist always has a point whose order has a
+# single multiple in the Hasse interval (Cremona-Sutherland, "On a theorem
+# of Mestre and Schoof", JTNB 22, 2010), so BSGS is exact; at or below it
+# the character sum is both safe and cheap.
+EXHAUSTIVE_LIMIT = 229
+COUNT_POINT_BUDGET = 128
 
 
 class PointNotOnCurve(ValueError):
@@ -20,6 +26,10 @@ class PointNotOnCurve(ValueError):
 
 class SupersingularCurve(ValueError):
     """The curve is supersingular (p | t); out of scope."""
+
+
+class CountingExhausted(RuntimeError):
+    """Random points left more than one candidate for #E."""
 
 
 class BadReduction(ValueError):
@@ -173,76 +183,102 @@ def _count_exhaustive(C: Curve) -> int:
     return n
 
 
-def _point_order_bsgs(C: Curve, A: Point) -> int:
-    """Exact order of A, via BSGS for a multiple of ord(A) near p + 1."""
-    p = C.p
-    if A is None:
-        return 1
-    # find M in [p+1-2*sqrt(p), p+1+2*sqrt(p)] with M*A = O
-    w = isqrt(4 * p) + 1
-    m = isqrt(w) + 1
-    baby = {}
-    Q: Point = None
-    for j in range(m + 1):
-        baby.setdefault(Q, j)
-        Q = _add(C, Q, A)
-    lo = p + 1 - w
-    base = _mul(C, lo, A)
-    giant = _mul(C, m + 1, A)
-    giant_neg = point_neg(C, giant)
-    R = point_neg(C, base)
-    M = None
-    for i in range((2 * w) // (m + 1) + 2):
-        # M*A = O iff (lo + i*(m+1))*A = j*A with j in the baby table
-        if R in baby:
-            M = lo + i * (m + 1) + baby[R]
-            break
-        R = _add(C, R, giant_neg)
-    if M is None or M == 0:
-        raise RuntimeError("BSGS failed to find an annihilating multiple")
-    # strip prime factors to get the exact order
-    order = M
-    f = 2
-    rem = M
-    while f * f <= rem:
-        while rem % f == 0:
-            rem //= f
-            if _mul(C, order // f, A) is None:
-                order //= f
-        f += 1
-    if rem > 1 and _mul(C, order // rem, A) is None:
-        order //= rem
-    return order
+def _random_point(C: Curve, rng: random.Random) -> Point:
+    """A point of C over a uniformly drawn x-coordinate."""
+    while True:
+        try:
+            return C.lift_x(rng.randrange(C.p))
+        except PointNotOnCurve:
+            pass
+
+
+def _annihilators(C: Curve, A: Point, first: int, step: int, count: int):
+    """The k in [0, count) with (first + k*step)*A = O, as (k0, e): they are
+    exactly k0, k0 + e, k0 + 2e, ... below count.  At least one must exist.
+
+    Baby-step/giant-step in k with B = step*A.  Baby steps j*B are keyed by
+    x, so one entry stands for +-j*B.  A baby step that meets O, a point
+    of order 2 or an x seen before gives the exact order e of B, and one
+    lookup of first*A then places k0.  Otherwise ord(B) > 2m, each giant
+    window of 2m + 1 consecutive k holds at most one solution, and the scan
+    visits every window.
+    """
+    base = _mul(C, first, A)
+    B = _mul(C, step, A)
+    m = isqrt(count // 2) + 1
+    table = {}  # x(j*B) -> (j, y(j*B)) for 1 <= j <= m
+    T = B
+    for j in range(1, m + 1):
+        if T is None:
+            e = j
+        elif T[1] == 0:
+            e = 2 * j
+        elif T[0] in table:
+            # T = -i*B, as i*B = T would have met O at step j - i
+            e = j + table[T[0]][0]
+        else:
+            table[T[0]] = (j, T[1])
+            mB, T = T, _add(C, T, B)
+            continue
+        # ord(B) = e: the table and T hold +-i*B for every i*B != O in <B>
+        if T is not None:
+            table.setdefault(T[0], (j, T[1]))
+        if base is None:
+            return 0, e
+        i, y = table[base[0]]
+        return (-i if base[1] == y else i) % e, e
+    # giant steps: G = (first + c*step)*A at window centres c = m + i(2m + 1)
+    S = _add(C, mB, T)
+    G = _add(C, base, mB)
+    hits = []
+    for c in range(m, count + m, 2 * m + 1):
+        if G is None:
+            hits.append(c)
+        elif G[0] in table:
+            j, y = table[G[0]]
+            hits.append(c - j if G[1] == y else c + j)
+        G = _add(C, G, S)
+    hits = [k for k in hits if k < count]
+    return hits[0], (hits[1] - hits[0] if len(hits) > 1 else count)
 
 
 def _count_bsgs(C: Curve, seed: int = 1) -> int:
-    """Group order via lcm of random point orders (Shanks-Mestre style)."""
-    import random
+    """#E by baby-step/giant-step on random points of E and its twist E'.
 
+    The candidates for #E stay an arithmetic progression in the Hasse
+    interval.  Each point A keeps the candidates M with M*A = O (on E)
+    or (2p + 2 - M)*A = O (on E', as #E + #E' = 2p + 2).  Points are
+    drawn alternately from E and E' until one candidate is left; for
+    p > 229 some point of E or E' has an order with a single multiple in
+    the Hasse interval (Cremona-Sutherland, JTNB 22, 2010).
+    """
     rng = random.Random(seed)
     p = C.p
+    g = next(g for g in range(2, p) if C.field.legendre(g) == -1)
+    twist = Curve(C.field, g * g * C.a4, g * g * g * C.a6)
     w = isqrt(4 * p)
-    lo, hi = p + 1 - w, p + 1 + w
-    L = 1
-    for _ in range(64):
-        x = rng.randrange(p)
-        try:
-            A = C.lift_x(x)
-        except PointNotOnCurve:
-            continue
-        o = _point_order_bsgs(C, A)
-        L = L * o // gcd(L, o)
-        first = (lo + L - 1) // L * L
-        candidates = list(range(first, hi + 1, L))
-        if len(candidates) == 1:
-            return candidates[0]
-    raise RuntimeError("point counting did not converge to a unique order")
+    # the candidates for #E are first + k*step for 0 <= k < count
+    first, step, count = p + 1 - w, 1, 2 * w + 1
+    for draw in range(COUNT_POINT_BUDGET):
+        # on E', (M - (2p + 2))*A = O iff (2p + 2 - M)*A = O
+        D, shift = (twist, 2 * p + 2) if draw % 2 else (C, 0)
+        A = _random_point(D, rng)
+        k0, e = _annihilators(D, A, first - shift, step, count)
+        first += k0 * step
+        step *= e
+        count = (count - 1 - k0) // e + 1
+        if count == 1:
+            return first
+    raise CountingExhausted(
+        f"point counting: {COUNT_POINT_BUDGET} points left {count} candidates for #E"
+    )
 
 
 def count_points(C: Curve) -> FrobeniusData:
-    """Exact #E(F_p); exhaustive character sum for small p, BSGS beyond."""
+    """Exact #E(F_p): the character sum for p <= 229, BSGS on E and its
+    quadratic twist above (_count_bsgs)."""
     p = C.p
-    if p < EXHAUSTIVE_LIMIT:
+    if p <= EXHAUSTIVE_LIMIT:
         n = _count_exhaustive(C)
     else:
         n = _count_bsgs(C)

@@ -127,8 +127,11 @@ def _random_ell_torsion_point(ctx: TorsionContext, rng: random.Random) -> Point:
         A = (A[0], -A[1] % C.p)
     A = _mul(C, m, A)
     # A now has ell-power order; walk down to exact order ell
-    while A is not None and _mul(C, ell, A) is not None:
-        A = _mul(C, ell, A)
+    while A is not None:
+        B = _mul(C, ell, A)
+        if B is None:
+            break
+        A = B
     return A
 
 

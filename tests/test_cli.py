@@ -131,6 +131,19 @@ def test_invalid_input_exit_2(capsys):
     assert code == 2
 
 
+def test_counting_exhausted_exit_2(capsys, monkeypatch):
+    from distmap import curve
+
+    monkeypatch.setattr(curve, "_random_point", lambda C, rng: None)
+    code = main(["curve-info", "--p", "251", "--a4", "1", "--a6", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error=point counting: 128 points left 63 candidates for #E\n"
+    )
+
+
 def test_catalog_export_command(capsys):
     code, out = run(capsys, "catalog", "export")
     assert code == 0

@@ -1,19 +1,27 @@
 import itertools
+import random
+import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from distmap import curve
 from distmap.curve import (
     BadReduction,
+    CountingExhausted,
     Curve,
     PointNotOnCurve,
     SupersingularCurve,
+    _count_bsgs,
+    _count_exhaustive,
     count_points,
     point_add,
     point_neg,
     reduce_rational_curve,
     scalar_mul,
 )
-from distmap.field import PrimeField
+from distmap.field import PrimeField, is_prime
 
 
 def all_points(C):
@@ -131,6 +139,126 @@ def test_bsgs_agrees_with_exhaustive():
     for p, a4, a6 in [(10007, 3, 7), (7919, 1, 6)]:
         C = Curve(PrimeField(p), a4, a6)
         assert _count_bsgs(C) == _count_exhaustive(C)
+
+
+def _twist(C):
+    """The quadratic twist of C by its least non-residue."""
+    g = next(g for g in range(2, C.p) if C.field.legendre(g) == -1)
+    return Curve(C.field, g * g * C.a4, g * g * g * C.a6)
+
+
+def _lifted_points(C, seed, k):
+    """k points of C over seeded random x-coordinates."""
+    rng = random.Random(seed)
+    pts = []
+    while len(pts) < k:
+        y = C.field.sqrt(C.rhs(x := rng.randrange(C.p)))
+        if y is not None:
+            pts.append((x, y))
+    return pts
+
+
+def _primes(lo, hi):
+    return [p for p in range(lo, hi) if is_prime(p)]
+
+
+@pytest.mark.parametrize("p", _primes(230, 300))
+def test_bsgs_j0_j1728_and_random_above_floor(p):
+    # a4 = 0 or a6 = 0 (j = 0, 1728) is where E and E' most often have a
+    # small exponent, so where one point is least likely to settle #E
+    F = PrimeField(p)
+    rng = random.Random(p)
+    coeffs = [(0, a6) for a6 in range(1, p)] + [(a4, 0) for a4 in range(1, p)]
+    coeffs += [(rng.randrange(p), rng.randrange(p)) for _ in range(20)]
+    for a4, a6 in coeffs:
+        if (4 * a4 ** 3 + 27 * a6 ** 2) % p == 0:
+            continue
+        C = Curve(F, a4, a6)
+        assert _count_bsgs(C) == _count_exhaustive(C), (p, a4, a6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(230, (1 << 14) - 1),
+    a4=st.integers(0, 1 << 14),
+    a6=st.integers(0, 1 << 14),
+    seed=st.integers(0, 1 << 32),
+)
+def test_bsgs_differential(n, a4, a6, seed):
+    p = next(q for q in range(n, 0, -1) if is_prime(q))
+    assume(p > 229 and (4 * a4 ** 3 + 27 * a6 ** 2) % p)
+    C = Curve(PrimeField(p), a4, a6)
+    assert _count_bsgs(C, seed) == _count_exhaustive(C)
+
+
+def test_bsgs_below_floor_exact_or_typed():
+    # below the floor BSGS may not settle #E, but it never returns a wrong one
+    exhausted = 0
+    for p in _primes(5, 32):
+        for a4, a6 in itertools.product(range(p), repeat=2):
+            if (4 * a4 ** 3 + 27 * a6 ** 2) % p == 0:
+                continue
+            C = Curve(PrimeField(p), a4, a6)
+            try:
+                assert _count_bsgs(C) == _count_exhaustive(C), (p, a4, a6)
+            except CountingExhausted:
+                exhausted += 1
+    assert exhausted > 0  # e.g. (5, 1, 0), which the floor sends to the sum
+
+
+def test_count_2_24_under_a_second():
+    # the exhaustive sum took about a minute at this p
+    C = Curve(PrimeField(16777213), 5, 11)
+    start = time.perf_counter()
+    n = count_points(C).order_n
+    assert time.perf_counter() - start < 1.0
+    for A in _lifted_points(C, 0, 5):
+        assert scalar_mul(C, n, A) is None
+    E2 = _twist(C)
+    for A in _lifted_points(E2, 1, 5):
+        assert scalar_mul(E2, 2 * C.p + 2 - n, A) is None
+
+
+def test_count_2_48_kills_points_of_e_and_twist():
+    p = 281474976710597  # the largest prime below 2^48
+    C = Curve(PrimeField(p), 123456789, 987654321)
+    n = count_points(C).order_n
+    assert (p + 1 - n) ** 2 <= 4 * p
+    E2 = _twist(C)
+    for A in _lifted_points(C, 0, 20):
+        assert scalar_mul(C, n, A) is None
+    for A in _lifted_points(E2, 1, 20):
+        assert scalar_mul(E2, 2 * p + 2 - n, A) is None
+
+
+@pytest.mark.parametrize("p", [65521, 65519, 16777213])
+def test_count_op_counts(monkeypatch, p):
+    # p = 65521 is 1 mod 16, so every square root also searches for a
+    # non-residue; the character sum would make p Legendre calls
+    calls = {"legendre": 0, "add": 0}
+    legendre, add = PrimeField.legendre, curve._add
+
+    def counted_legendre(self, a):
+        calls["legendre"] += 1
+        return legendre(self, a)
+
+    def counted_add(*args):
+        calls["add"] += 1
+        return add(*args)
+
+    monkeypatch.setattr(PrimeField, "legendre", counted_legendre)
+    monkeypatch.setattr(curve, "_add", counted_add)
+    count_points(Curve(PrimeField(p), 3, 7))
+    assert calls["legendre"] <= 64
+    assert calls["add"] <= 6 * p ** 0.25
+
+
+def test_counting_exhausted_is_typed(monkeypatch):
+    # the identity carries no information, so no draw narrows the candidates
+    monkeypatch.setattr(curve, "_random_point", lambda C, rng: None)
+    # the Hasse interval at p = 251 holds 2 * 31 + 1 = 63 integers
+    with pytest.raises(CountingExhausted, match="128 points left 63 candidates for #E"):
+        count_points(Curve(PrimeField(251), 1, 1))
 
 
 def test_reduce_rational_mod_13():

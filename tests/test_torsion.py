@@ -1,11 +1,12 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from distmap import torsion
-from distmap.curve import Curve, _add, count_points, point_add, scalar_mul
+from distmap.curve import Curve, _add, _mul, count_points, point_add, scalar_mul
 from distmap.field import PrimeField
 from distmap.pairing import _weil, weil_pairing
 from distmap.torsion import (
@@ -188,6 +189,78 @@ def test_find_basis_one_pairing_per_candidate(
         assert torsion_calls["weil_pairing"] == len(draws) - 1
         candidates += len(draws) - 1
     assert candidates > 20  # some seeds drew a Q inside <P> and retried
+
+
+# find_torsion_basis(ctx, seed) for seeds 0..19, as (P, Q): ex2 at ell = 5
+# and the ell = 31 test curve.  Fixed values, so that a change to the draw
+# (which points, which rng calls) shows here.
+BASES_EX2_ELL5 = [
+    ((469, 620), (324, 429)), ((573, 450), (477, 322)),
+    ((173, 507), (477, 322)), ((463, 495), (173, 507)),
+    ((324, 272), (463, 495)), ((135, 309), (62, 636)),
+    ((477, 322), (62, 636)), ((463, 206), (135, 392)),
+    ((198, 50), (325, 598)), ((224, 670), (62, 65)),
+    ((325, 103), (135, 309)), ((62, 636), (82, 252)),
+    ((173, 194), (463, 495)), ((324, 429), (135, 309)),
+    ((62, 636), (325, 103)), ((477, 379), (573, 251)),
+    ((324, 272), (62, 65)), ((135, 392), (463, 206)),
+    ((173, 507), (463, 495)), ((469, 81), (463, 495)),
+]
+BASES_ELL31 = [
+    ((302694661, 1375251924), (711876631, 471181071)),
+    ((26913014, 260370042), (498507305, 795424706)),
+    ((240059241, 201248045), (109340709, 788411746)),
+    ((598901968, 28591959), (799262874, 388436000)),
+    ((1090794499, 480455966), (838723557, 722284767)),
+    ((901255623, 1305489729), (502999201, 868852766)),
+    ((1106760666, 331071218), (1137144431, 478121978)),
+    ((1224445102, 359622397), (1370510346, 860601549)),
+    ((505619505, 281654975), (905924028, 448041177)),
+    ((425931516, 243636209), (210591925, 734268319)),
+    ((1410483455, 170667971), (772544915, 714175523)),
+    ((1098131965, 1355797352), (531472441, 891473529)),
+    ((1303177421, 738256271), (689316746, 809149113)),
+    ((881185135, 853767512), (1155441430, 980379138)),
+    ((20223272, 1385895941), (24810334, 999005472)),
+    ((169893424, 897677743), (131486583, 243509015)),
+    ((1405970127, 781401423), (905924028, 448041177)),
+    ((844536818, 1316754723), (1012533344, 1177698331)),
+    ((300164396, 51178701), (842209824, 1200988833)),
+    ((408541006, 7393790), (418326277, 161893526)),
+]
+
+
+def test_find_basis_pinned(ex2_curve, ex2_frob, basis31):
+    ctx5 = TorsionContext(5, ex2_curve, ex2_frob)
+    for seed, (P, Q) in enumerate(BASES_EX2_ELL5):
+        B = find_torsion_basis(ctx5, seed)
+        assert (B.P, B.Q) == (P, Q), seed
+    for seed, (P, Q) in enumerate(BASES_ELL31):
+        B = find_torsion_basis(basis31.ctx, seed)
+        assert (B.P, B.Q) == (P, Q), seed
+
+
+def test_torsion_draw_one_mul_per_step(monkeypatch):
+    # y^2 = x^3 + x over F_17 has E(F_17) = Z/4 x Z/4: a draw of order 4
+    # takes one step down (one multiplication by 2), then one more
+    # multiplication by 2 meets O
+    C = Curve(PrimeField(17), 1, 0)
+    ctx = TorsionContext(2, C, count_points(C))
+    calls = []
+
+    def counted(C, k, A):
+        calls.append(k)
+        return _mul(C, k, A)
+
+    monkeypatch.setattr(torsion, "_mul", counted)
+    rng = random.Random(0)
+    walked = 0
+    for _ in range(50):
+        calls.clear()
+        if torsion._random_ell_torsion_point(ctx, rng) is not None:
+            assert calls in ([1, 2], [1, 2, 2])
+            walked += len(calls) == 3
+    assert walked > 0
 
 
 def test_enumerate_subgroups_ell2(basis2):
