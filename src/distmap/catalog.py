@@ -2,11 +2,11 @@
 
 Entries validate at load time: nonsingular, ordinary, and the stated
 endomorphism-order conductor c = [O_K : O] divides the computed Frobenius
-conductor f_pi.  The catalog is exportable to (and loadable from) a plain
-key=value text format with [entry-name] section headers.
+conductor f_pi.  The catalog exports to a plain key=value text format
+with [entry-name] section headers.
 """
 
-from .classify import OrderData, decompose_discriminant
+from .classify import OrderData
 from .curve import Curve, count_points, reduce_rational_curve
 from .field import PrimeField
 
@@ -25,20 +25,15 @@ class CurveCatalogEntry:
         else:
             self.curve = Curve(PrimeField(p), a4, a6)
         self.frob = count_points(self.curve)
-        self.d_K, self.f_pi = decompose_discriminant(self.frob.trace_t, p)
-        if self.f_pi % conductor != 0:
-            raise ValueError(
-                f"catalog entry {name}: stated conductor {conductor} "
-                f"does not divide computed f_pi = {self.f_pi}"
-            )
+        self._order = OrderData.from_frobenius(self.frob.trace_t, p, conductor)
+        self.d_K, self.f_pi = self._order.d_K, self._order.f_pi
         self.conductor = conductor
         self.endo_labels = tuple(endo_labels)
         self.default_ell = default_ell
         self.notes = notes
 
-    def order_data(self, conductor=None) -> OrderData:
-        c = self.conductor if conductor is None else conductor
-        return OrderData(self.d_K, self.f_pi, c)
+    def order_data(self) -> OrderData:
+        return self._order
 
     def with_prime(self, p: int) -> "CurveCatalogEntry":
         """Re-reduce a rational-coefficient entry at a different prime."""
@@ -137,50 +132,3 @@ def export_catalog() -> str:
     lines.append("")
     return "\n".join(lines)
 
-
-def parse_catalog_file(text: str) -> dict:
-    """Parse the key=value catalog format into CurveCatalogEntry objects.
-
-    Derived keys (order, trace, d_K, f_pi) are recomputed, not trusted."""
-    entries = {}
-    section = None
-    data = {}
-
-    def flush():
-        if section is None:
-            return
-        p = int(data["p"])
-        kwargs = dict(
-            endo_labels=tuple(filter(None, data.get("endos", "").split(","))),
-            conductor=int(data.get("conductor", 1)),
-            default_ell=int(data["ell"]) if "ell" in data else None,
-            notes=data.get("notes", ""),
-        )
-        if "/" in data["a4"] or "/" in data["a6"]:
-            na4, da4 = (data["a4"].split("/") + ["1"])[:2]
-            na6, da6 = (data["a6"].split("/") + ["1"])[:2]
-            entry = CurveCatalogEntry(
-                section, p, rational=(int(na4), int(da4), int(na6), int(da6)),
-                **kwargs,
-            )
-        else:
-            entry = CurveCatalogEntry(
-                section, p, a4=int(data["a4"]), a6=int(data["a6"]), **kwargs
-            )
-        entries[section] = entry
-
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            flush()
-            section = line[1:-1]
-            data = {}
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad catalog line: {raw!r}")
-        key, _, value = line.partition("=")
-        data[key.strip()] = value.strip()
-    flush()
-    return entries

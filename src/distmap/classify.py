@@ -11,8 +11,11 @@ The conductor c = [O_K : O] is supplied as input (curve catalog or CLI);
 computing End(E) from scratch is out of scope.
 """
 
+from math import isqrt
+
 from .endo import TorsionMatrix, char_poly_mod_ell, quadratic_roots_mod
 from .field import kronecker
+from .torsion import subgroup_lines
 
 NO_DISTORTION = "NoDistortion"
 INERT = "Inert"
@@ -33,10 +36,13 @@ class PredicateViolated(AssertionError):
 
 
 def _squarefree_decompose(n: int) -> tuple:
-    """n = f^2 * d with d squarefree, by trial factorization; n >= 1."""
+    """n = f^2 * d with d squarefree; n >= 1.
+
+    Trial division stops once q^3 > n: the cofactor left then has at most
+    two prime factors, so it is a prime square or squarefree."""
     f, d = 1, 1
     q = 2
-    while q * q <= n:
+    while q * q * q <= n:
         e = 0
         while n % q == 0:
             n //= q
@@ -45,6 +51,9 @@ def _squarefree_decompose(n: int) -> tuple:
         if e % 2:
             d *= q
         q += 1 if q == 2 else 2
+    r = isqrt(n)
+    if r * r == n:
+        return f * r, d
     return f, d * n
 
 
@@ -145,13 +154,6 @@ def classify_case(od: OrderData, ell: int) -> ClassificationReport:
     return ClassificationReport(tag, ell, notes=notes)
 
 
-def _vector_lines(ell: int) -> list:
-    """Canonical generators of the ell + 1 lines in (Z/ell)^2.
-
-    Matches torsion.enumerate_subgroups: (0,1) for <Q>, then (1,k)."""
-    return [(0, 1)] + [(1, k) for k in range(ell)]
-
-
 def _is_eigenvector(M: TorsionMatrix, v: tuple) -> bool:
     w = M.apply(v)
     # w proportional to v  <=>  cross product vanishes
@@ -163,7 +165,7 @@ def distortion_census(M: TorsionMatrix) -> ClassificationReport:
     ell = M.ell
     eigen = []
     distorted = 0
-    for v in _vector_lines(ell):
+    for v in subgroup_lines(ell):
         if _is_eigenvector(M, v):
             eigen.append(v)
         else:

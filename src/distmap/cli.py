@@ -13,6 +13,7 @@ import sys
 from . import catalog as catalog_mod
 from .classify import (
     NO_DISTORTION,
+    OrderData,
     classify_case,
     distortion_census,
     verify_theorem1,
@@ -25,7 +26,7 @@ from .curve import (
     PointNotOnCurve,
     SupersingularCurve,
     count_points,
-    point_add,
+    reduce_rational_curve,
     scalar_mul,
 )
 from .ddh import DdhInstance, InstanceInvalid, NotADistortionMap, ddh_decide
@@ -37,15 +38,15 @@ from .endo import (
     make_catalog_endo,
     quadratic_roots_mod,
 )
-from .field import PrimeField, kronecker
+from .field import PrimeField
 from .pairing import DivisorCollision, NotTorsion, weil_pairing
 from .torsion import (
     SamplingExhausted,
     TorsionBasis,
     TorsionContext,
     TorsionNotRational,
-    enumerate_subgroups,
     find_torsion_basis,
+    subgroup_lines,
 )
 
 INPUT_ERRORS = (
@@ -78,43 +79,30 @@ def parse_point(text: str):
     return (int(parts[0]), int(parts[1]))
 
 
-class _Setup:
-    """Resolved curve context shared by the subcommands."""
+def _resolve_curve(args):
+    """(curve, frob, conductor) from --name, re-reduced when --p names
+    another prime, or from --p/--a4/--a6; --conductor overrides."""
+    if args.name:
+        entry = catalog_mod.get_entry(args.name)
+        if args.p is not None and args.p != entry.p:
+            entry = entry.with_prime(args.p)
+        curve, frob, conductor = entry.curve, entry.frob, entry.conductor
+    else:
+        if args.p is None or args.a4 is None or args.a6 is None:
+            raise ValueError("need --name or all of --p/--a4/--a6")
+        curve = Curve(PrimeField(args.p), args.a4, args.a6)
+        frob, conductor = count_points(curve), 1
+    if args.conductor is not None:
+        conductor = args.conductor
+    return curve, frob, conductor
 
-    def __init__(self, args):
-        self.entry = None
-        if getattr(args, "name", None):
-            entry = catalog_mod.get_entry(args.name)
-            if getattr(args, "p", None) is not None and args.p != entry.p:
-                entry = entry.with_prime(args.p)
-            self.entry = entry
-            self.curve = entry.curve
-            self.conductor = entry.conductor
-        else:
-            if args.p is None or args.a4 is None or args.a6 is None:
-                raise ValueError("need --name or all of --p/--a4/--a6")
-            self.curve = Curve(PrimeField(args.p), args.a4, args.a6)
-            self.conductor = 1
-        if getattr(args, "conductor", None) is not None:
-            self.conductor = args.conductor
-        self.frob = (
-            self.entry.frob if self.entry is not None else count_points(self.curve)
-        )
 
-    def order_data(self):
-        from .classify import OrderData
-
-        return OrderData.from_frobenius(
-            self.frob.trace_t, self.frob.q, self.conductor
-        )
-
-    def basis(self, args) -> TorsionBasis:
-        ctx = TorsionContext(args.ell, self.curve, self.frob)
-        A = getattr(args, "A", None)
-        B = getattr(args, "B", None)
-        if A and B:
-            return TorsionBasis(ctx, parse_point(A), parse_point(B))
-        return find_torsion_basis(ctx, seed=getattr(args, "seed", 0))
+def _basis(args, curve, frob) -> TorsionBasis:
+    """The basis --A/--B of E[ell], or one sampled from --seed."""
+    ctx = TorsionContext(args.ell, curve, frob)
+    if args.A and args.B:
+        return TorsionBasis(ctx, parse_point(args.A), parse_point(args.B))
+    return find_torsion_basis(ctx, seed=args.seed)
 
 
 def _common_curve_flags(sp, need_ell=False):
@@ -129,13 +117,13 @@ def _common_curve_flags(sp, need_ell=False):
 
 
 def cmd_curve_info(args) -> int:
-    s = _Setup(args)
-    od = s.order_data()
-    print(f"p={s.curve.p}")
-    print(f"a4={s.curve.a4}")
-    print(f"a6={s.curve.a6}")
-    print(f"order={s.frob.order_n}")
-    print(f"t={s.frob.trace_t}")
+    curve, frob, c = _resolve_curve(args)
+    od = OrderData.from_frobenius(frob.trace_t, frob.q, c)
+    print(f"p={curve.p}")
+    print(f"a4={curve.a4}")
+    print(f"a6={curve.a6}")
+    print(f"order={frob.order_n}")
+    print(f"t={frob.trace_t}")
     print(f"d_K={od.d_K}")
     print(f"f_pi={od.f_pi}")
     print(f"conductor={od.c}")
@@ -144,17 +132,17 @@ def cmd_curve_info(args) -> int:
 
 
 def cmd_pairing(args) -> int:
-    s = _Setup(args)
+    curve, _, _ = _resolve_curve(args)
     A = parse_point(args.A)
     B = parse_point(args.B)
-    e = weil_pairing(s.curve, args.ell, A, B)
+    e = weil_pairing(curve, args.ell, A, B)
     print(f"e={e.value}")
     return 0
 
 
 def cmd_endo_apply(args) -> int:
-    s = _Setup(args)
-    e = make_catalog_endo(args.phi, s.curve)
+    curve, _, _ = _resolve_curve(args)
+    e = make_catalog_endo(args.phi, curve)
     img = endo_eval(e, parse_point(args.A))
     print(f"phi={args.phi}")
     print(f"image={point_str(img)}")
@@ -162,9 +150,9 @@ def cmd_endo_apply(args) -> int:
 
 
 def cmd_endo_matrix(args) -> int:
-    s = _Setup(args)
-    B = s.basis(args)
-    e = make_catalog_endo(args.phi, s.curve)
+    curve, frob, _ = _resolve_curve(args)
+    B = _basis(args, curve, frob)
+    e = make_catalog_endo(args.phi, curve)
     M = endo_matrix(e, B)
     (a, b), (c, d) = M.entries
     print(f"P={point_str(B.P)}")
@@ -180,8 +168,9 @@ def cmd_endo_matrix(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    s = _Setup(args)
-    report = classify_case(s.order_data(), args.ell)
+    _, frob, c = _resolve_curve(args)
+    od = OrderData.from_frobenius(frob.trace_t, frob.q, c)
+    report = classify_case(od, args.ell)
     print(f"ell={args.ell}")
     print(f"case={report.case_tag}")
     print(f"predicted_distorted={report.predicted_count()}")
@@ -191,34 +180,32 @@ def cmd_classify(args) -> int:
 
 
 def cmd_census(args) -> int:
-    s = _Setup(args)
-    B = s.basis(args)
-    e = make_catalog_endo(args.phi, s.curve)
+    curve, frob, _ = _resolve_curve(args)
+    B = _basis(args, curve, frob)
+    e = make_catalog_endo(args.phi, curve)
     M = endo_matrix(e, B)
     report = distortion_census(M)
-    gens = enumerate_subgroups(B)
-    lines = [(0, 1)] + [(1, k) for k in range(args.ell)]
     print(f"P={point_str(B.P)}")
     print(f"Q={point_str(B.Q)}")
-    for v, g in zip(lines, gens):
+    for v in subgroup_lines(B.ell):
         mark = "eigen" if v in report.eigen_subgroups else "distorted"
-        print(f"subgroup={point_str(g)}:{mark}")
+        print(f"subgroup={point_str(B.combine(*v))}:{mark}")
     print(f"distorted={report.census_distorted}")
     print(f"case={report.case_tag}")
     return 1 if report.census_distorted == 0 else 0
 
 
 def cmd_ddh(args) -> int:
-    s = _Setup(args)
-    B = s.basis(args)
-    phi = make_catalog_endo(args.phi, s.curve)
+    curve, frob, _ = _resolve_curve(args)
+    B = _basis(args, curve, frob)
+    phi = make_catalog_endo(args.phi, curve)
     a, b, c = (int(v) for v in args.triple.split(","))
     inst = DdhInstance(
         B.P,
         (
-            scalar_mul(s.curve, a, B.P),
-            scalar_mul(s.curve, b, B.P),
-            scalar_mul(s.curve, c, B.P),
+            scalar_mul(curve, a, B.P),
+            scalar_mul(curve, b, B.P),
+            scalar_mul(curve, c, B.P),
         ),
     )
     result = ddh_decide(B, phi, inst)
@@ -292,8 +279,6 @@ def _paper_example_rows():
                      ex1_check(p)))
 
     def ex4_check():
-        from .curve import reduce_rational_curve
-
         entry = catalog_mod.get_entry("ex4-13")
         roots = [x for x in range(13) if entry.curve.rhs(x) == 0]
         ok = (entry.curve.a4, entry.curve.a6) == (11, 4) and roots == [6, 9, 11]

@@ -254,7 +254,7 @@ def _count_bsgs(C: Curve, seed: int = 1) -> int:
     """
     rng = random.Random(seed)
     p = C.p
-    g = next(g for g in range(2, p) if C.field.legendre(g) == -1)
+    g = C.field.non_residue
     twist = Curve(C.field, g * g * C.a4, g * g * g * C.a6)
     w = isqrt(4 * p)
     # the candidates for #E are first + k*step for 0 <= k < count

@@ -1,6 +1,7 @@
-"""Explicit endomorphisms as rational maps and their action on E[ell].
+"""Explicit endomorphisms and their action on E[ell].
 
-The catalog holds exactly the built-in maps:
+An endomorphism is plain data: an image function on points plus the trace
+and norm of its minimal polynomial X^2 - trace*X + norm.  The built-in maps:
 
   sqrt_minus_one  (x, y) -> (-x, i*y) on curves y^2 = x^3 + a4*x with
                   p = 1 mod 4, where i is the smaller square root of -1;
@@ -9,7 +10,7 @@ The catalog holds exactly the built-in maps:
                   with alpha = 386 and minimal polynomial X^2 - X + 2.
   scalar(k)       multiplication by k, minimal polynomial (X - k)^2.
 
-Denominator zeros (kernel points) map to the identity.
+Rational maps send denominator zeros (kernel points) to the identity.
 """
 
 import re
@@ -35,29 +36,16 @@ def _poly_eval(coeffs, x: int, p: int) -> int:
 
 
 class RationalEndomorphism:
-    """An endomorphism with evaluation data and minimal-polynomial data.
+    """An endomorphism as plain data: image maps a validated point (or the
+    identity None) to its image, and the minimal polynomial is the monic
+    quadratic X^2 - trace*X + norm."""
 
-    minpoly is the monic quadratic X^2 - trace*X + norm.  kind selects the
-    evaluation strategy: "rational" uses the stored rational maps,
-    "scalar" multiplies by scalar_k, "shifted" evaluates base(A) + shift*A.
-    """
-
-    def __init__(self, curve: Curve, label: str, trace: int, norm: int,
-                 kind: str = "rational", x_num=None, x_den=None,
-                 y_num=None, y_den=None, scalar_k: int = 0,
-                 base=None, shift: int = 0):
+    def __init__(self, curve: Curve, label: str, trace: int, norm: int, image):
         self.curve = curve
         self.label = label
         self.trace = trace
         self.norm = norm
-        self.kind = kind
-        self.x_num = x_num
-        self.x_den = x_den
-        self.y_num = y_num
-        self.y_den = y_den
-        self.scalar_k = scalar_k
-        self.base = base
-        self.shift = shift
+        self.image = image
 
     def minpoly_mod(self, ell: int) -> tuple:
         """Coefficients (1, c1, c0) of the minimal polynomial mod ell."""
@@ -65,6 +53,29 @@ class RationalEndomorphism:
 
     def __repr__(self):
         return f"RationalEndomorphism({self.label!r} on {self.curve!r})"
+
+
+def _rational_map(C: Curve, label: str, x_num, x_den, y_num, y_den):
+    """The image function (x, y) -> (x_num/x_den, y * y_num/y_den), the
+    polynomials evaluated at x; denominator zeros go to the identity."""
+    p = C.p
+
+    def image(A: Point) -> Point:
+        if A is None:
+            return None
+        x, y = A
+        xd = _poly_eval(x_den, x, p)
+        yd = _poly_eval(y_den, x, p)
+        if xd == 0 or yd == 0:
+            return None
+        xi = _poly_eval(x_num, x, p) * C.field.inv(xd) % p
+        yi = y * _poly_eval(y_num, x, p) % p * C.field.inv(yd) % p
+        img = (xi, yi)
+        if not C.contains(img):
+            raise ImageOffCurve(f"{label} sent {A} to {img}, off the curve")
+        return img
+
+    return image
 
 
 _SCALAR_RE = re.compile(r"^scalar\((-?\d+)\)$")
@@ -83,8 +94,7 @@ def make_catalog_endo(label: str, curve: Curve) -> RationalEndomorphism:
         i = curve.field.sqrt(p - 1)
         return RationalEndomorphism(
             curve, label, trace=0, norm=1,
-            x_num=[-1 % p, 0], x_den=[1],
-            y_num=[i], y_den=[1],
+            image=_rational_map(curve, label, [-1 % p, 0], [1], [i], [1]),
         )
     if label == "alpha_701":
         if p != 701 or curve.a4 != -35 % 701 or curve.a6 != 98:
@@ -100,15 +110,19 @@ def make_catalog_endo(label: str, curve: Curve) -> RationalEndomorphism:
         # y-factor: alpha^-3 * ((x + c)^2 + d) / (x + c)^2
         return RationalEndomorphism(
             curve, label, trace=1, norm=2,
-            x_num=[ia2, ia2 * c % p, ia2 * (-d) % p], x_den=[1, c],
-            y_num=[ia3, ia3 * 2 * c % p, ia3 * (c * c + d) % p],
-            y_den=[1, 2 * c % p, c * c % p],
+            image=_rational_map(
+                curve, label,
+                [ia2, ia2 * c % p, ia2 * (-d) % p], [1, c],
+                [ia3, ia3 * 2 * c % p, ia3 * (c * c + d) % p],
+                [1, 2 * c % p, c * c % p],
+            ),
         )
     m = _SCALAR_RE.match(label)
     if m:
         k = int(m.group(1))
         return RationalEndomorphism(
-            curve, label, trace=2 * k, norm=k * k, kind="scalar", scalar_k=k
+            curve, label, trace=2 * k, norm=k * k,
+            image=lambda A: _mul(curve, k, A),
         )
     raise IncompatibleCurve(f"unknown endomorphism label {label!r}")
 
@@ -118,47 +132,23 @@ def shifted_endo(e: RationalEndomorphism, k: int) -> RationalEndomorphism:
     return RationalEndomorphism(
         e.curve, f"{e.label}+scalar({k})",
         trace=e.trace + 2 * k, norm=e.norm + e.trace * k + k * k,
-        kind="shifted", base=e, shift=k,
+        image=lambda A: _add(e.curve, e.image(A), _mul(e.curve, k, A)),
     )
 
 
 def endo_eval(e: RationalEndomorphism, A: Point) -> Point:
     """Image of A; kernel points (denominator zeros) go to the identity."""
-    C = e.curve
-    A = C.validate(A)
-    if e.kind == "scalar":
-        return _mul(C, e.scalar_k, A)
-    if e.kind == "shifted":
-        return _add(C, endo_eval(e.base, A), _mul(C, e.shift, A))
-    if A is None:
-        return None
-    p = C.p
-    x, y = A
-    xd = _poly_eval(e.x_den, x, p)
-    yd = _poly_eval(e.y_den, x, p)
-    if xd == 0 or yd == 0:
-        return None
-    xi = _poly_eval(e.x_num, x, p) * C.field.inv(xd) % p
-    yi = y * _poly_eval(e.y_num, x, p) % p * C.field.inv(yd) % p
-    img = (xi, yi)
-    if not C.contains(img):
-        raise ImageOffCurve(f"{e.label} sent {A} to {img}, off the curve")
-    return img
+    return e.image(e.curve.validate(A))
 
 
 class TorsionMatrix:
     """2x2 action of an endomorphism on E[ell]; columns are the images
     of the basis points P and Q in (a, b)-coordinates."""
 
-    def __init__(self, basis: TorsionBasis, entries):
-        ell = basis.ell
+    def __init__(self, ell: int, entries):
         (a, b), (c, d) = entries
-        self.basis = basis
+        self.ell = ell
         self.entries = ((a % ell, b % ell), (c % ell, d % ell))
-
-    @property
-    def ell(self) -> int:
-        return self.basis.ell
 
     def trace(self) -> int:
         return (self.entries[0][0] + self.entries[1][1]) % self.ell
@@ -189,7 +179,7 @@ def endo_matrix(e: RationalEndomorphism, B: TorsionBasis) -> TorsionMatrix:
         raise IncompatibleCurve("endomorphism and basis live on different curves")
     aP, bP = dlog2d(B, endo_eval(e, B.P))
     aQ, bQ = dlog2d(B, endo_eval(e, B.Q))
-    return TorsionMatrix(B, ((aP, aQ), (bP, bQ)))
+    return TorsionMatrix(B.ell, ((aP, aQ), (bP, bQ)))
 
 
 def char_poly_mod_ell(M: TorsionMatrix) -> tuple:

@@ -182,12 +182,14 @@ def dlog2d(B: TorsionBasis, R: Point) -> tuple:
     raise NotInTorsion(f"{R} not expressible in the basis (corrupt basis?)")
 
 
-def enumerate_subgroups(B: TorsionBasis) -> list:
-    """Canonical generators of the ell + 1 order-ell subgroups of E[ell].
+def subgroup_lines(ell: int) -> list:
+    """Coordinates (a, b) of the canonical generators a*P + b*Q of the
+    ell + 1 order-ell subgroups: (0, 1) for <Q>, then (1, k) for
+    <P + k*Q>, k = 0 .. ell-1.  The one ordering every census uses."""
+    return [(0, 1)] + [(1, k) for k in range(ell)]
 
-    Order: <Q> first, then <P + k*Q> for k = 0 .. ell-1.
-    """
-    gens = [B.Q]
-    for k in range(B.ell):
-        gens.append(B.combine(1, k))
-    return gens
+
+def enumerate_subgroups(B: TorsionBasis) -> list:
+    """Canonical generators of the ell + 1 order-ell subgroups of E[ell],
+    in the order of subgroup_lines."""
+    return [B.combine(a, b) for a, b in subgroup_lines(B.ell)]

@@ -181,13 +181,9 @@ def test_criterion_8_property_suites(ex2):
     ok &= char_poly_mod_ell(endo_matrix(e13, B13)) == e13.minpoly_mod(2)
 
     # census trichotomy over all non-scalar matrices mod 2, 3, 5
-    class _B:
-        def __init__(self, ell):
-            self.ell = ell
-
     for ell in (2, 3, 5):
         for entries in itertools.product(range(ell), repeat=4):
-            M = TorsionMatrix(_B(ell), (entries[:2], entries[2:]))
+            M = TorsionMatrix(ell, (entries[:2], entries[2:]))
             n = distortion_census(M).census_distorted
             if M.is_scalar():
                 ok &= n == 0

@@ -1,4 +1,6 @@
 import itertools
+import random
+from math import isqrt
 
 import pytest
 
@@ -12,24 +14,18 @@ from distmap.classify import (
     NotImaginary,
     OrderData,
     PredicateViolated,
+    _squarefree_decompose,
     classify_case,
     decompose_discriminant,
     distortion_census,
     verify_theorem1,
 )
 from distmap.endo import TorsionMatrix, char_poly_mod_ell, quadratic_roots_mod
-from distmap.field import kronecker
-
-
-class FakeBasis:
-    """Stand-in with just an ell, for matrix-only census tests."""
-
-    def __init__(self, ell):
-        self.ell = ell
+from distmap.field import is_prime, kronecker
 
 
 def matrix(ell, a, b, c, d):
-    return TorsionMatrix(FakeBasis(ell), ((a, b), (c, d)))
+    return TorsionMatrix(ell, ((a, b), (c, d)))
 
 
 def test_decompose_f701():
@@ -58,6 +54,34 @@ def test_decompose_fundamental_exhaustive():
             d_K, f = decompose_discriminant(t, q)
             assert f * f * d_K == t * t - 4 * q
             OrderData(d_K, f, 1)  # validates fundamentality
+
+
+def _squarefree_reference(n):
+    """Brute force: the largest f with f^2 | n, and d = n / f^2."""
+    f = max(k for k in range(1, isqrt(n) + 1) if n % (k * k) == 0)
+    return f, n // (f * f)
+
+
+def test_squarefree_decompose_matches_brute_force():
+    for n in range(1, 20000):
+        assert _squarefree_decompose(n) == _squarefree_reference(n), n
+
+
+def test_squarefree_decompose_large_cofactors():
+    # n = m * L with a small part m and L one of 1, r, r*s, r^2 for primes
+    # r, s above the cube root of n, which trial division never reaches
+    rng = random.Random(9)
+    primes = [q for q in range(10**6, 10**6 + 3000) if is_prime(q)]
+    for _ in range(700):
+        m = 1
+        for q in (2, 3, 5, 7, 11):
+            m *= q ** rng.randrange(4)
+        f_m, d_m = _squarefree_reference(m)
+        r, s = rng.sample(primes, 2)
+        L, f_L, d_L = rng.choice([(1, 1, 1), (r, 1, r), (r * s, 1, r * s), (r * r, r, 1)])
+        assert _squarefree_decompose(m * L) == (f_m * f_L, d_m * d_L)
+    r = 2**31 - 1  # prime
+    assert _squarefree_decompose(r * r) == (r, 1)
 
 
 def test_order_data_validation():

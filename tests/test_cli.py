@@ -1,11 +1,8 @@
+import time
+
 import pytest
 
-from distmap.catalog import (
-    builtin_catalog,
-    export_catalog,
-    get_entry,
-    parse_catalog_file,
-)
+from distmap.catalog import CurveCatalogEntry, builtin_catalog, get_entry
 from distmap.cli import main, parse_point, point_str
 
 
@@ -30,30 +27,34 @@ def test_catalog_entries_validate():
     assert (ex2.d_K, ex2.f_pi, ex2.conductor) == (-7, 20, 1)
 
 
-def test_catalog_export_round_trip():
-    text = export_catalog()
-    entries = parse_catalog_file(text)
-    assert set(entries) == set(builtin_catalog())
-    for name, entry in entries.items():
-        orig = get_entry(name)
-        assert entry.curve == orig.curve
-        assert entry.conductor == orig.conductor
-
-
 def test_tampered_catalog_rejected():
     # singular curve data
-    with pytest.raises(ValueError):
-        parse_catalog_file("[x]\np=13\na4=0\na6=0\n")
-    # stated conductor incompatible with the counted trace
-    text = export_catalog().replace("conductor=1", "conductor=7")
-    with pytest.raises(ValueError):
-        parse_catalog_file(text)
+    with pytest.raises(ValueError, match="singular"):
+        CurveCatalogEntry("x", 13, a4=0, a6=0)
+    # stated conductor incompatible with the counted trace (f_pi = 20)
+    with pytest.raises(ValueError, match="c = 7 must divide f_pi = 20"):
+        CurveCatalogEntry("x", 701, a4=-35, a6=98, conductor=7)
 
 
 def test_curve_info(capsys):
     code, out = run(capsys, "curve-info", "--name", "ex2-f701")
     assert code == 0
     assert "t=2" in out and "d_K=-7" in out and "f_pi=20" in out
+
+
+def test_curve_info_large_prime_discriminant(capsys):
+    # 4p - t^2 is a prime near 2^54: decomposing it stops trial division
+    # at its cube root instead of its square root
+    start = time.perf_counter()
+    code, out = run(capsys, "curve-info", "--p", "4503599627370517",
+                    "--a4", "9", "--a6", "1")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert out == (
+        "p=4503599627370517\na4=9\na6=1\norder=4503599634386915\n"
+        "t=-7016397\nd_K=-17965168682620459\nf_pi=1\nconductor=1\n"
+        "ordinary=true\n"
+    )
 
 
 def test_curve_info_explicit_flags_match(capsys):

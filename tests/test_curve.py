@@ -251,6 +251,28 @@ def test_count_op_counts(monkeypatch, p):
     count_points(Curve(PrimeField(p), 3, 7))
     assert calls["legendre"] <= 64
     assert calls["add"] <= 6 * p ** 0.25
+    if p == 65521:
+        # the least non-residue 17 is searched for once per field, not once
+        # per square root and again for the twist (33 calls when repeated)
+        assert calls["legendre"] < 33
+
+
+def test_count_twist_by_least_non_residue(monkeypatch):
+    # y^2 = x^3 + x + 5 over F_65521 needs a second point, drawn from the
+    # twist by the least non-residue g = 17: y^2 = x^3 + g^2 x + 5 g^3
+    p, g = 65521, 17
+    assert PrimeField(p).non_residue == g
+    assert all(pow(z, (p - 1) // 2, p) == 1 for z in range(2, g))
+    drawn_from = []
+    random_point = curve._random_point
+
+    def recorded_random_point(C, rng):
+        drawn_from.append((C.a4, C.a6))
+        return random_point(C, rng)
+
+    monkeypatch.setattr(curve, "_random_point", recorded_random_point)
+    assert count_points(Curve(PrimeField(p), 1, 5)).order_n == 65836
+    assert drawn_from == [(1, 5), (g * g, 5 * g ** 3 % p)]
 
 
 def test_counting_exhausted_is_typed(monkeypatch):

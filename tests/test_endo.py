@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from distmap.curve import Curve, count_points, point_add, scalar_mul
+from distmap.catalog import get_entry
+from distmap.curve import Curve, count_points, point_add, point_neg, scalar_mul
 from distmap.endo import (
     IncompatibleCurve,
     char_poly_mod_ell,
@@ -167,3 +168,45 @@ def test_shifted_endo_minpoly(ex2_curve, basis5, alpha):
         e = shifted_endo(alpha, k)
         M = endo_matrix(e, basis5)
         assert char_poly_mod_ell(M) == e.minpoly_mod(5)
+
+
+def _all_points(C):
+    pts = [None]
+    for x in range(C.p):
+        y = C.field.sqrt(C.rhs(x))
+        if y is not None:
+            pts += [(x, y)] if y == 0 else [(x, y), (x, C.p - y)]
+    return pts
+
+
+def _satisfies_minpoly(e, A):
+    """e(e(A)) - trace*e(A) + norm*A = O, as e(e(A)) + norm*A = trace*e(A)."""
+    C = e.curve
+    eA = endo_eval(e, A)
+    lhs = point_add(C, endo_eval(e, eA), scalar_mul(C, e.norm, A))
+    return lhs == scalar_mul(C, e.trace, eA)
+
+
+def test_alpha_minpoly_on_whole_group(ex2_curve, alpha):
+    pts = _all_points(ex2_curve)
+    assert len(pts) == 700
+    assert all(_satisfies_minpoly(alpha, A) for A in pts)
+
+
+@pytest.mark.parametrize("p", [5, 13, 17, 29])
+def test_sqrt_minus_one_squares_to_minus_one(p):
+    C = get_entry(f"ex1-f{p}").curve
+    i = make_catalog_endo("sqrt_minus_one", C)
+    for A in _all_points(C):
+        assert endo_eval(i, endo_eval(i, A)) == point_neg(C, A)
+        assert _satisfies_minpoly(i, A)
+
+
+def test_nested_shift_matches_single_shift(basis5, alpha):
+    nested = shifted_endo(shifted_endo(alpha, 1), 2)
+    once = shifted_endo(alpha, 3)
+    assert (nested.trace, nested.norm) == (once.trace, once.norm) == (7, 14)
+    for a, b in itertools.product(range(5), repeat=2):
+        A = basis5.combine(a, b)
+        assert endo_eval(nested, A) == endo_eval(once, A)
+    assert endo_matrix(nested, basis5) == endo_matrix(once, basis5)
