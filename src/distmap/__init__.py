@@ -21,7 +21,7 @@ from .torsion import (
     enumerate_subgroups,
     find_torsion_basis,
 )
-from .pairing import PairingValue, miller_eval, weil_pairing
+from .pairing import PairingValue, weil_pairing
 from .endo import (
     RationalEndomorphism,
     TorsionMatrix,

@@ -14,7 +14,7 @@ computing End(E) from scratch is out of scope.
 from math import isqrt
 
 from .endo import TorsionMatrix, char_poly_mod_ell, quadratic_roots_mod
-from .field import kronecker
+from .field import check_ell, kronecker
 from .torsion import subgroup_lines
 
 NO_DISTORTION = "NoDistortion"
@@ -136,6 +136,7 @@ class ClassificationReport:
 
 def classify_case(od: OrderData, ell: int) -> ClassificationReport:
     """Case tag for the prime ell from the order data alone."""
+    check_ell(ell)
     notes = []
     if od.c % ell == 0:
         return ClassificationReport(NO_DISTORTION, ell, notes=notes)

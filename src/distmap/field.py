@@ -7,6 +7,7 @@ cap keeps everything desk scale).
 """
 
 MODULUS_CAP = 1 << 62
+ELL_CAP = 997
 
 
 class ZeroInverse(ArithmeticError):
@@ -36,6 +37,12 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def check_ell(ell: int) -> None:
+    """Reject an ell that is not a prime <= ELL_CAP (ValueError)."""
+    if not is_prime(ell) or ell > ELL_CAP:
+        raise ValueError(f"ell must be a prime <= {ELL_CAP}, got {ell}")
 
 
 class PrimeField:

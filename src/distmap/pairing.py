@@ -3,16 +3,20 @@
 Everything lives in F_p: with q = 1 mod ell the ell-th roots of unity are
 rational, so pairing values are plain field elements (embedding degree 1).
 
+The pairing is e_ell(A, B) = (-1)^ell f_B(A) / f_A(B) for the two Miller
+functions with div(f_A) = ell(A) - ell(O), built from normalized lines and
+verticals (Miller, "The Weil pairing, and its efficient calculation",
+J. Cryptology 17, 2004): no auxiliary divisors are needed.  A line of
+either loop can vanish at the other point only when B lies in <A>, where
+the pairing is 1.
+
 The exported convention is pinned by golden values: on the curve
 y^2 = x^3 - 35x + 98 over F_701 the 5-torsion basis point P = (224, 31)
 pairs with its alpha-image (173, 194) to 464.
 """
 
-from .curve import Curve, Point, _add, _mul, point_neg
-
-
-class DivisorCollision(ArithmeticError):
-    """Evaluation point hit a zero/pole of a Miller line function."""
+from .curve import Curve, Point, _mul
+from .field import check_ell
 
 
 class NotTorsion(ValueError):
@@ -82,14 +86,14 @@ def _step(C: Curve, U: Point, V: Point, X: Point) -> tuple:
     return (y - y1 - lam * (x - x1)) % p, (x - x3) % p, (x3, y3)
 
 
-def _miller_at_point(C: Curve, ell: int, A: Point, X: Point) -> int:
-    """f_{ell,A}(X) where div(f) = ell(A) - ell(O), for A of order ell.
+def _miller_at_point(C: Curve, ell: int, A: Point, X: Point) -> int | None:
+    """f_{ell,A}(X) where div(f) = ell(A) - ell(O), for A of order ell and
+    X an affine point, from Miller's normalized lines and verticals.
 
-    Raises DivisorCollision when X hits a zero/pole of an intermediate
-    line (in particular X in {A, O} or related degenerate positions).
+    Returns None when a line or vertical of the loop vanishes at X.  Every
+    zero of those functions is a multiple of A, so that happens only for
+    X in <A>.
     """
-    if X is None:
-        raise DivisorCollision("cannot evaluate a Miller function at the identity")
     p = C.p
     T = A
     num, den = 1, 1
@@ -102,52 +106,17 @@ def _miller_at_point(C: Curve, ell: int, A: Point, X: Point) -> int:
             num = num * l % p
             den = den * v % p
     if num == 0 or den == 0:
-        raise DivisorCollision(f"Miller line vanished at {X}")
+        return None
     return num * pow(den, -1, p) % p
-
-
-def _miller_eval(C: Curve, ell: int, A: Point, D: tuple) -> int:
-    """miller_eval for A already known to lie on C."""
-    X1, X2 = D
-    return _miller_at_point(C, ell, A, X1) * pow(
-        _miller_at_point(C, ell, A, X2), -1, C.p
-    ) % C.p
-
-
-def miller_eval(C: Curve, ell: int, A: Point, D: tuple) -> int:
-    """f_{ell,A} evaluated at the degree-zero divisor (X1) - (X2).
-
-    D is the pair (X1, X2) of affine points carrying the divisor.
-    """
-    return _miller_eval(C, ell, C.validate(A), D)
-
-
-def _aux_points(C: Curve, limit: int = 16):
-    """Deterministic sequence of offset points used to dodge zeros/poles."""
-    found = 0
-    x = 0
-    while found < limit:
-        y = C.field.sqrt(C.rhs(x))
-        if y is not None:
-            if y != 0:
-                yield (x, y)
-                found += 1
-                yield (x, C.p - y)
-                found += 1
-            else:
-                yield (x, 0)
-                found += 1
-        x += 1
-        if x >= C.p:
-            return
 
 
 def weil_pairing(C: Curve, ell: int, A: Point, B: Point) -> PairingValue:
     """Weil pairing e_ell(A, B) for A, B in E[ell], valued in mu_ell < F_p*.
 
-    Computed as f_A(D_B) / f_B(D_A) with divisors offset by an auxiliary
-    point S, retried over a deterministic sequence of offsets on collision.
+    Computed from two Miller functions as (-1)^ell f_B(A) / f_A(B)
+    (Miller, J. Cryptology 17, 2004), and 1 when B lies in <A>.
     """
+    check_ell(ell)
     A = C.validate(A)
     B = C.validate(B)
     if _mul(C, ell, A) is not None or _mul(C, ell, B) is not None:
@@ -157,32 +126,15 @@ def weil_pairing(C: Curve, ell: int, A: Point, B: Point) -> PairingValue:
 
 def _weil(C: Curve, ell: int, A: Point, B: Point) -> PairingValue:
     """weil_pairing for A, B already known to lie in E[ell] on C."""
-    if A is None or B is None:
+    if A is None or B is None or A == B:
         return PairingValue(C, ell, 1)
+    fa = _miller_at_point(C, ell, A, B)
+    fb = None if fa is None else _miller_at_point(C, ell, B, A)
+    if fb is None:
+        # a line of one loop vanished at the other point: B is in <A>,
+        # where the pairing is trivial
+        return PairingValue(C, ell, 1)
+    # of the two inverse-of-each-other orientations, this is the one
+    # matching the pinned golden value 464
     p = C.p
-    last_exc = None
-    for S in _aux_points(C):
-        try:
-            nS = point_neg(C, S)
-            BS = _add(C, B, S)
-            AmS = _add(C, A, nS)
-            if BS is None or AmS is None:
-                raise DivisorCollision("degenerate offset")
-            # e(A,B) = [f_B(A-S)/f_B(-S)] / [f_A(B+S)/f_A(S)]
-            # (of the two inverse-of-each-other orientations, this is the
-            # one matching the pinned golden value 464)
-            fa = _miller_eval(C, ell, A, (BS, S))
-            fb = _miller_eval(C, ell, B, (AmS, nS))
-            return PairingValue(C, ell, fb * pow(fa, -1, p) % p)
-        except DivisorCollision as exc:
-            last_exc = exc
-            continue
-    if ell == 2:
-        # Tiny curves (e.g. #E = 4, every point 2-torsion) leave no room
-        # for offset divisors.  On E[2] the pairing is forced: alternating
-        # and nondegenerate into {1, -1}, so distinct nonzero arguments
-        # pair to -1 and equal ones to 1.
-        return PairingValue(C, 2, 1 if A == B else p - 1)
-    raise DivisorCollision(
-        f"no collision-free offset found for e_{ell}({A}, {B})"
-    ) from last_exc
+    return PairingValue(C, ell, (-1) ** ell * fb * pow(fa, -1, p) % p)

@@ -16,10 +16,8 @@ from .curve import (
     _mul,
     point_neg,
 )
-from .field import is_prime
+from .field import check_ell
 from .pairing import _weil
-
-ELL_CAP = 997
 
 
 class TorsionNotRational(ValueError):
@@ -38,8 +36,7 @@ class TorsionContext:
     """A curve together with a prime ell whose full torsion is rational."""
 
     def __init__(self, ell: int, curve: Curve, frob: FrobeniusData):
-        if not is_prime(ell) or ell > ELL_CAP:
-            raise ValueError(f"ell must be a prime <= {ELL_CAP}, got {ell}")
+        check_ell(ell)
         if ell == curve.p:
             raise ValueError("ell must differ from the field characteristic")
         if frob.order_n % (ell * ell) != 0:

@@ -132,6 +132,37 @@ def test_invalid_input_exit_2(capsys):
     assert code == 2
 
 
+def _one_error_line(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error={message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--name", "ex2-f701", "--ell", "0"],
+    ["classify", "--name", "ex2-f701", "--ell", "1"],
+    ["classify", "--name", "ex2-f701", "--ell", "4"],
+    ["pairing", "--name", "ex2-f701", "--ell", "0",
+     "--A", "224,31", "--B", "173,194"],
+])
+def test_ell_not_prime_exit_2(capsys, argv):
+    ell = argv[argv.index("--ell") + 1]
+    _one_error_line(capsys, argv, f"ell must be a prime <= 997, got {ell}")
+
+
+@pytest.mark.parametrize("command", [
+    ["endo-matrix", "--phi", "alpha_701"],
+    ["census", "--phi", "alpha_701"],
+    ["ddh", "--phi", "alpha_701", "--triple", "1,2,2"],
+])
+@pytest.mark.parametrize("flag", [["--A", "224,31"], ["--B", "573,450"]])
+def test_lone_basis_flag_exit_2(capsys, command, flag):
+    argv = command + ["--name", "ex2-f701", "--ell", "5"] + flag
+    _one_error_line(capsys, argv, "give both --A and --B, or neither")
+
+
 def test_counting_exhausted_exit_2(capsys, monkeypatch):
     from distmap import curve
 

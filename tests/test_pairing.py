@@ -3,21 +3,21 @@ import random
 
 import pytest
 
+from distmap import pairing
 from distmap.curve import (
     Curve,
     PointNotOnCurve,
+    _mul,
     point_add,
     point_neg,
     scalar_mul,
 )
 from distmap.field import PrimeField
 from distmap.pairing import (
-    DivisorCollision,
     NotTorsion,
     PairingValue,
-    _aux_points,
     _miller_at_point,
-    miller_eval,
+    _weil,
     weil_pairing,
 )
 
@@ -43,16 +43,15 @@ def test_miller_order2_nonzero(ex2_curve):
     # shortest loop: the Miller function of a 2-torsion point is the
     # vertical line through it
     A = (319, 0)
-    v = miller_eval(ex2_curve, 2, A, ((224, 31), (573, 450)))
-    assert v != 0
-    expected = (224 - 319) * ex2_curve.field.inv(573 - 319) % 701
-    assert v == expected
+    assert _miller_at_point(ex2_curve, 2, A, (224, 31)) == (224 - 319) % 701
+    assert _miller_at_point(ex2_curve, 2, A, (573, 450)) == 573 - 319
 
 
 def test_miller_collision(ex2_curve):
+    # the loop's last vertical passes through A itself
     A = (224, 31)
-    with pytest.raises(DivisorCollision):
-        miller_eval(ex2_curve, 5, A, (A, (573, 450)))
+    assert _miller_at_point(ex2_curve, 5, A, A) is None
+    assert _miller_at_point(ex2_curve, 5, A, (573, 450)) is not None
 
 
 def test_fifth_root_of_unity(basis5, ex2_curve):
@@ -151,9 +150,7 @@ def _vertical_value_ref(C, U, X):
 
 def _miller_ref(C, ell, A, X):
     """Miller's loop in two passes per step: line value, then point_add,
-    then the vertical through the sum."""
-    if X is None:
-        raise DivisorCollision("identity")
+    then the vertical through the sum; None when a line vanishes at X."""
     p = C.p
     T = A
     num, den = 1, 1
@@ -168,35 +165,50 @@ def _miller_ref(C, ell, A, X):
             num = num * l % p
             den = den * _vertical_value_ref(C, T, X) % p
     if num == 0 or den == 0:
-        raise DivisorCollision("vanished")
+        return None
     return num * C.field.inv(den) % p
 
 
+def _aux_points(C, limit=16):
+    """The offset points S of the reference pairing: the points over
+    x = 0, 1, ..., both square roots each, until 16 have been given."""
+    found = 0
+    for x in range(C.p):
+        if found >= limit:
+            return
+        y = C.field.sqrt(C.rhs(x))
+        if y is not None:
+            yield (x, y)
+            found += 1
+            if y != 0:
+                yield (x, C.p - y)
+                found += 1
+
+
 def _weil_ref(C, ell, A, B):
-    """weil_pairing built on _miller_ref (same offsets, same orientation)."""
+    """The Weil pairing from offset divisors, built on _miller_ref:
+    e(A, B) = [f_B(A - S) / f_B(-S)] / [f_A(B + S) / f_A(S)] for the first
+    offset S at which no Miller line vanishes, and on E[2] the forced
+    values when no offset is left."""
     if A is None or B is None:
         return 1
     p = C.p
     for S in _aux_points(C):
-        try:
-            BS = point_add(C, B, S)
-            AmS = point_add(C, A, point_neg(C, S))
-            if BS is None or AmS is None:
-                raise DivisorCollision("degenerate offset")
-            fa = _miller_ref(C, ell, A, BS) * C.field.inv(_miller_ref(C, ell, A, S))
-            nS = point_neg(C, S)
-            fb = _miller_ref(C, ell, B, AmS) * C.field.inv(_miller_ref(C, ell, B, nS))
-            return fb * C.field.inv(fa) % p
-        except DivisorCollision:
+        nS = point_neg(C, S)
+        BS = point_add(C, B, S)
+        AmS = point_add(C, A, nS)
+        if BS is None or AmS is None:
             continue
+        f = [_miller_ref(C, ell, A, BS), _miller_ref(C, ell, A, S),
+             _miller_ref(C, ell, B, AmS), _miller_ref(C, ell, B, nS)]
+        if None in f:
+            continue
+        fa = f[0] * C.field.inv(f[1])
+        fb = f[2] * C.field.inv(f[3])
+        return fb * C.field.inv(fa) % p
+    if ell == 2:
+        return 1 if A == B else p - 1
     raise AssertionError("no offset")
-
-
-def _miller_or_collision(miller, C, ell, A, X):
-    try:
-        return miller(C, ell, A, X)
-    except DivisorCollision:
-        return "collision"
 
 
 def test_fused_miller_step_matches_two_pass(ex2_curve):
@@ -212,16 +224,16 @@ def test_fused_miller_step_matches_two_pass(ex2_curve):
     }
     assert (len(torsion[2]), len(torsion[5])) == (4, 25)
     As = torsion[2] + torsion[5][1:]  # E[2] and E[5] share only O
-    X_set = points[1:41] + As
+    X_set = points[1:41] + As[1:]  # affine evaluation points only
     evaluations = collisions = 0
     # every loop length on every argument, so the steps also meet sums
     # that are not multiples of an order-ell point
     for ell, A, X in itertools.product((2, 5), As, X_set):
-        got = _miller_or_collision(_miller_at_point, C, ell, A, X)
-        assert got == _miller_or_collision(_miller_ref, C, ell, A, X)
+        got = _miller_at_point(C, ell, A, X)
+        assert got == _miller_ref(C, ell, A, X)
         evaluations += 1
-        collisions += got == "collision"
-    assert evaluations == 2 * 28 * 68
+        collisions += got is None
+    assert evaluations == 2 * 28 * 67
     assert 0 < collisions < evaluations
 
 
@@ -239,7 +251,60 @@ def test_public_pairing_entries_validate(ex2_curve):
         weil_pairing(ex2_curve, 5, (1, 1), P)
     with pytest.raises(PointNotOnCurve):
         weil_pairing(ex2_curve, 5, P, (1, 1))
-    with pytest.raises(PointNotOnCurve):
-        miller_eval(ex2_curve, 5, (1, 1), ((573, 450), (463, 495)))
     with pytest.raises(NotTorsion):
         weil_pairing(ex2_curve, 5, P, (319, 0))
+
+
+@pytest.mark.parametrize("ell", [2, 5, 31])
+def test_two_miller_loops_per_pairing(monkeypatch, ell, basis5, basis31):
+    if ell == 2:
+        C, A, B = basis5.curve, (319, 0), (389, 0)
+    else:
+        basis = basis5 if ell == 5 else basis31
+        C, A, B = basis.curve, basis.P, basis.Q
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _miller_at_point(*args)
+
+    monkeypatch.setattr(pairing, "_miller_at_point", counted)
+    assert _weil(C, ell, A, B).value != 1
+    assert len(calls) == 2
+
+
+def _small_curves(ell, primes):
+    """Every ordinary y^2 = x^3 + a4 x + a6 over F_p, p in primes, whose
+    E[ell] is rational, with the ell^2 points of E[ell]."""
+    for p in primes:
+        squares = {}
+        for y in range(p):
+            squares.setdefault(y * y % p, []).append(y)
+        for a4, a6 in itertools.product(range(p), repeat=2):
+            if (4 * a4 ** 3 + 27 * a6 ** 2) % p == 0:
+                continue
+            C = Curve(PrimeField(p), a4, a6)
+            points = [None] + [(x, y) for x in range(p)
+                               for y in squares.get(C.rhs(x), ())]
+            if len(points) % p == 1:  # t = 0 mod p: supersingular
+                continue
+            torsion = [A for A in points if _mul(C, ell, A) is None]
+            if len(torsion) == ell * ell:
+                yield C, torsion
+
+
+@pytest.mark.parametrize("ell, primes, n_curves", [
+    (2, (5, 7, 11, 13, 17, 19, 23, 29), 288),
+    (3, (7, 13, 19, 31), 53),
+])
+def test_weil_matches_offset_pairing_exhaustive(ell, primes, n_curves):
+    # the offset-divisor construction (four Miller loops per offset, an
+    # offset search and the forced E[2] values) as the reference for the
+    # two-loop pairing, on every ordered pair of E[ell]
+    curves = pairs = 0
+    for C, torsion in _small_curves(ell, primes):
+        curves += 1
+        for A, B in itertools.product(torsion, repeat=2):
+            assert _weil(C, ell, A, B).value == _weil_ref(C, ell, A, B)
+            pairs += 1
+    assert (curves, pairs) == (n_curves, n_curves * ell ** 4)
