@@ -18,7 +18,6 @@ from .torsion import (
     TorsionBasis,
     TorsionContext,
     dlog2d,
-    enumerate_subgroups,
     find_torsion_basis,
 )
 from .pairing import PairingValue, weil_pairing

@@ -155,34 +155,36 @@ def classify_case(od: OrderData, ell: int) -> ClassificationReport:
     return ClassificationReport(tag, ell, notes=notes)
 
 
-def _is_eigenvector(M: TorsionMatrix, v: tuple) -> bool:
-    w = M.apply(v)
-    # w proportional to v  <=>  cross product vanishes
-    return (v[0] * w[1] - v[1] * w[0]) % M.ell == 0
+def _eigenline(M: TorsionMatrix, lam: int) -> tuple:
+    """The kernel of M - lam*I, for non-scalar M and an eigenvalue lam,
+    as the subgroup_lines coordinates (0, 1) or (1, k)."""
+    ell = M.ell
+    (a, b), (c, d) = M.entries
+    # M - lam*I has rank 1, so its nonzero row (r0, r1) alone fixes the
+    # kernel, which (r1, -r0) spans
+    r0, r1 = (a - lam, b) if (a - lam) % ell or b else (c, d - lam)
+    x, y = r1 % ell, -r0 % ell
+    if x == 0:
+        return (0, 1)
+    return (1, y * pow(x, -1, ell) % ell)
 
 
 def distortion_census(M: TorsionMatrix) -> ClassificationReport:
-    """Mark each order-ell subgroup distorted iff it is not an eigenline."""
+    """Mark each order-ell subgroup distorted iff it is not an eigenline.
+
+    A scalar M fixes every line; otherwise each distinct root of the
+    characteristic polynomial gives exactly one eigenline."""
     ell = M.ell
-    eigen = []
-    distorted = 0
-    for v in subgroup_lines(ell):
-        if _is_eigenvector(M, v):
-            eigen.append(v)
-        else:
-            distorted += 1
-    cp = char_poly_mod_ell(M)
-    roots = quadratic_roots_mod(cp, ell)
     if M.is_scalar():
-        tag = NO_DISTORTION
-    elif not roots:
-        tag = INERT
-    elif len(roots) == 2:
-        tag = SPLIT
-    else:
-        tag = RAMIFIED
+        return ClassificationReport(
+            NO_DISTORTION, ell, census_distorted=0,
+            eigen_subgroups=subgroup_lines(ell),
+        )
+    roots = quadratic_roots_mod(char_poly_mod_ell(M), ell)
+    eigen = sorted(_eigenline(M, lam) for lam in roots)
     return ClassificationReport(
-        tag, ell, census_distorted=distorted, eigen_subgroups=eigen
+        {0: INERT, 1: RAMIFIED, 2: SPLIT}[len(roots)], ell,
+        census_distorted=ell + 1 - len(eigen), eigen_subgroups=eigen,
     )
 
 

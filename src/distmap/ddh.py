@@ -75,8 +75,9 @@ def ddh_decide(B: TorsionBasis, phi: RationalEndomorphism, inst: DdhInstance) ->
     R, S, T = inst.triple
     for A in (R, S, T):
         _subgroup_dlog(B, A)
-    # dlog2d has shown R, S and T to lie in <P>; validating R once more
-    # only canonicalizes its coordinates for the unchecked pairing
+    # each of R, S and T was one lookup in the basis's table of the
+    # multiples of P; validating R once more only canonicalizes its
+    # coordinates for the unchecked pairing
     lhs = _weil(C, ell, C.validate(R), _image(B, phi, S))
     rhs = _weil(C, ell, B.P, _image(B, phi, T))
     return lhs == rhs

@@ -16,6 +16,7 @@ Rational maps send denominator zeros (kernel points) to the identity.
 import re
 
 from .curve import Curve, Point, _add, _mul
+from .field import PrimeField
 from .torsion import TorsionBasis, dlog2d
 
 
@@ -161,10 +162,6 @@ class TorsionMatrix:
         (a, b), (c, d) = self.entries
         return b == 0 and c == 0 and a == d
 
-    def apply(self, v: tuple) -> tuple:
-        (a, b), (c, d) = self.entries
-        return ((a * v[0] + b * v[1]) % self.ell, (c * v[0] + d * v[1]) % self.ell)
-
     def __eq__(self, other):
         return isinstance(other, TorsionMatrix) and other.entries == self.entries
 
@@ -188,6 +185,13 @@ def char_poly_mod_ell(M: TorsionMatrix) -> tuple:
 
 
 def quadratic_roots_mod(coeffs: tuple, ell: int) -> list:
-    """Roots in Z/ell of a monic quadratic given as (1, c1, c0)."""
+    """Sorted roots in Z/ell, ell prime, of a monic quadratic given as
+    (1, c1, c0): (-c1 +- sqrt(c1^2 - 4*c0)) / 2, with ell = 2 by hand."""
     _, c1, c0 = coeffs
-    return [x for x in range(ell) if (x * x + c1 * x + c0) % ell == 0]
+    if ell == 2:
+        return [x for x in (0, 1) if (x * x + c1 * x + c0) % 2 == 0]
+    s = PrimeField(ell).sqrt(c1 * c1 - 4 * c0)
+    if s is None:
+        return []
+    half = (ell + 1) // 2  # the inverse of 2 mod ell
+    return sorted({(-c1 + s) * half % ell, (-c1 - s) * half % ell})

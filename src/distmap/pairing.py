@@ -48,10 +48,6 @@ class PairingValue:
     def is_trivial(self) -> bool:
         return self.value == 1
 
-    def multiplicative_order(self) -> int:
-        # ell is prime, so the order is 1 or ell
-        return 1 if self.value == 1 else self.ell
-
 
 def _step(C: Curve, U: Point, V: Point, X: Point) -> tuple:
     """One step of Miller's loop, from a single slope: the value at X of

@@ -87,15 +87,15 @@ class TorsionBasis:
         return self.ctx.ell
 
     @cached_property
-    def q_multiples(self) -> dict:
-        """Baby-step table {b*Q: b for b in 0 .. ell-1}, built on first use
-        with ell - 1 point additions and kept for the life of the basis."""
+    def p_multiples(self) -> dict:
+        """Table {a*P: a for a in 0 .. ell-1}, built on first use with
+        ell - 1 point additions and kept for the life of the basis."""
         C = self.curve
         table = {None: 0}
         T: Point = None
-        for b in range(1, self.ell):
-            T = _add(C, T, self.Q)
-            table[T] = b
+        for a in range(1, self.ell):
+            T = _add(C, T, self.P)
+            table[T] = a
         return table
 
     def combine(self, a: int, b: int) -> Point:
@@ -159,23 +159,29 @@ def find_torsion_basis(ctx: TorsionContext, seed: int = 0) -> TorsionBasis:
 def dlog2d(B: TorsionBasis, R: Point) -> tuple:
     """The unique (a, b) mod ell with R = a*P + b*Q, by baby-step/giant-step.
 
-    Giant steps walk R, R - P, R - 2P, ... until one lands in the basis's
-    cached table of the multiples of Q: at most ell point additions per
-    call, plus ell - 1 once per basis to build the table.
+    The basis caches the multiples of P, so a point of <P> takes one
+    lookup and no point addition.  Any other point must be killed by ell;
+    giant steps then walk R - Q, R - 2Q, ... until one lands in the table:
+    at most ell point additions per call, plus ell - 1 once per basis to
+    build the table.
     """
     C = B.curve
     ell = B.ell
     R = C.validate(R)
+    table = B.p_multiples
+    a = table.get(R)
+    if a is not None:
+        # every table entry lies in <P>, inside E[ell] by construction
+        return (a, 0)
     if _mul(C, ell, R) is not None:
         raise NotInTorsion(f"{R} is not killed by {ell}")
-    table = B.q_multiples
-    neg_P = point_neg(C, B.P)
+    neg_Q = point_neg(C, B.Q)
     T = R
-    for a in range(ell):
-        b = table.get(T)
-        if b is not None:
+    for b in range(1, ell):
+        T = _add(C, T, neg_Q)
+        a = table.get(T)
+        if a is not None:
             return (a, b)
-        T = _add(C, T, neg_P)
     raise NotInTorsion(f"{R} not expressible in the basis (corrupt basis?)")
 
 
@@ -184,9 +190,3 @@ def subgroup_lines(ell: int) -> list:
     ell + 1 order-ell subgroups: (0, 1) for <Q>, then (1, k) for
     <P + k*Q>, k = 0 .. ell-1.  The one ordering every census uses."""
     return [(0, 1)] + [(1, k) for k in range(ell)]
-
-
-def enumerate_subgroups(B: TorsionBasis) -> list:
-    """Canonical generators of the ell + 1 order-ell subgroups of E[ell],
-    in the order of subgroup_lines."""
-    return [B.combine(a, b) for a, b in subgroup_lines(B.ell)]

@@ -22,6 +22,7 @@ from distmap.classify import (
 )
 from distmap.endo import TorsionMatrix, char_poly_mod_ell, quadratic_roots_mod
 from distmap.field import is_prime, kronecker
+from distmap.torsion import subgroup_lines
 
 
 def matrix(ell, a, b, c, d):
@@ -159,6 +160,44 @@ def test_census_trichotomy_all_nonscalar_matrices(ell):
             assert len(roots) == 2
         else:
             assert len(roots) == 1
+
+
+def _census_by_scan(M):
+    """The census by scanning all ell + 1 lines for eigenvectors and all
+    of Z/ell for roots: the reference for the closed form."""
+    ell = M.ell
+    (a, b), (c, d) = M.entries
+    # (x, y) is an eigenline iff it is parallel to M(x, y)
+    eigen = [(x, y) for x, y in subgroup_lines(ell)
+             if (x * (c * x + d * y) - y * (a * x + b * y)) % ell == 0]
+    roots = [r for r in range(ell)
+             if (r * r - M.trace() * r + M.det()) % ell == 0]
+    if M.is_scalar():
+        tag = NO_DISTORTION
+    elif not roots:
+        tag = INERT
+    elif len(roots) == 2:
+        tag = SPLIT
+    else:
+        tag = RAMIFIED
+    return tag, ell + 1 - len(eigen), eigen
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_census_closed_form_matches_scan(ell):
+    # every 2x2 matrix mod ell: 3,123 in all
+    for a, b, c, d in itertools.product(range(ell), repeat=4):
+        M = matrix(ell, a, b, c, d)
+        report = distortion_census(M)
+        got = (report.case_tag, report.census_distorted, report.eigen_subgroups)
+        assert got == _census_by_scan(M), M
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 13, 97])
+def test_quadratic_roots_match_scan(ell):
+    for c1, c0 in itertools.product(range(ell), repeat=2):
+        scan = [x for x in range(ell) if (x * x + c1 * x + c0) % ell == 0]
+        assert quadratic_roots_mod((1, c1, c0), ell) == scan, (c1, c0)
 
 
 def test_verify_theorem1_paper_configurations(basis5, basis2, alpha, ex2_curve):

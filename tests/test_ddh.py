@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from distmap import ddh
+from distmap import curve, ddh, endo, torsion
 from distmap.curve import Curve, PointNotOnCurve, scalar_mul
 from distmap.ddh import (
     DdhInstance,
@@ -254,3 +254,41 @@ def test_map_on_another_curve_rejected(basis5, ex2_curve):
     inst = triple_of(ex2_curve, basis5.P, 2, 3, 6)
     with pytest.raises(PointNotOnCurve):
         ddh_decide(_fresh(basis5), phi, inst)
+
+
+@pytest.fixture()
+def add_calls(monkeypatch):
+    """Counts every point addition: curve._add, which _mul calls, under
+    each name the library imports it by."""
+    calls = []
+    add = curve._add
+
+    def counted(*args):
+        calls.append(args)
+        return add(*args)
+
+    for module in (curve, torsion, endo):
+        monkeypatch.setattr(module, "_add", counted)
+    return calls
+
+
+def test_warm_decision_adds_only_image_checks(add_calls, basis5, alpha, basis31):
+    # R, S and T of <P> are one table lookup each, so the only point
+    # additions left are the two ell*phi(X) = O checks on the images
+    phi31 = make_catalog_endo("sqrt_minus_one", basis31.curve)
+    per_decision = {}
+    for B, phi in ((basis5, alpha), (basis31, phi31)):
+        insts = [ddh_sample(B, honest=s % 2 == 0, seed=s) for s in range(6)]
+        ddh_decide(B, phi, insts[0])  # warm: tables and caches filled
+        add_calls.clear()
+        curve._mul(B.curve, B.ell, B.P)
+        image_check = len(add_calls)
+        counts = set()
+        for inst in insts:
+            add_calls.clear()
+            ddh_decide(B, phi, inst)
+            counts.add(len(add_calls))
+        per_decision[B.ell] = (counts, image_check)
+    assert per_decision[5] == ({8}, 4)
+    counts31, image_check31 = per_decision[31]
+    assert max(counts31) <= 2 * image_check31

@@ -15,8 +15,8 @@ from distmap.torsion import (
     TorsionContext,
     TorsionNotRational,
     dlog2d,
-    enumerate_subgroups,
     find_torsion_basis,
+    subgroup_lines,
 )
 
 
@@ -97,7 +97,7 @@ def test_find_basis_valid(ex2_curve, ex2_frob, ell):
     assert scalar_mul(ex2_curve, ell, B.P) is None
     assert scalar_mul(ex2_curve, ell, B.Q) is None
     e = weil_pairing(ex2_curve, ell, B.P, B.Q)
-    assert e.multiplicative_order() == ell
+    assert not e.is_trivial()
 
 
 def test_dlog_identity(basis5):
@@ -153,17 +153,29 @@ def test_dlog_rejects_order_prime_to_ell31(basis31):
 
 
 @pytest.mark.parametrize("ell", [2, 5, 7, 31])
-def test_dlog_point_add_counts(torsion_calls, fresh_basis, ell):
+def test_dlog_point_add_counts(torsion_calls, monkeypatch, fresh_basis, ell):
     B = fresh_basis(ell)
     assert torsion_calls["point_add"] == 0  # the table is built lazily
-    table = B.q_multiples
+    table = B.p_multiples
     assert torsion_calls["point_add"] == ell - 1
-    assert table == {scalar_mul(B.curve, b, B.Q): b for b in range(ell)}
+    assert table == {scalar_mul(B.curve, a, B.P): a for a in range(ell)}
+    muls = []
+
+    def counted_mul(C, k, A):
+        muls.append(k)
+        return _mul(C, k, A)
+
+    monkeypatch.setattr(torsion, "_mul", counted_mul)
     for a, b in itertools.product(range(ell), repeat=2):
         R = B.combine(a, b)
-        before = torsion_calls["point_add"]
+        before, muls_before = torsion_calls["point_add"], len(muls)
         assert dlog2d(B, R) == (a, b)
-        assert torsion_calls["point_add"] - before <= ell
+        if b == 0:
+            # a point of <P>: one lookup, no addition, no ell*R check
+            assert torsion_calls["point_add"] == before
+            assert len(muls) == muls_before
+        else:
+            assert torsion_calls["point_add"] - before <= ell
 
 
 def test_find_basis_one_pairing_per_candidate(
@@ -263,14 +275,17 @@ def test_torsion_draw_one_mul_per_step(monkeypatch):
     assert walked > 0
 
 
-def test_enumerate_subgroups_ell2(basis2):
-    gens = enumerate_subgroups(basis2)
+def test_subgroup_lines_ell2(basis2):
+    gens = [basis2.combine(a, b) for a, b in subgroup_lines(2)]
     assert len(gens) == 3
     assert gens[0] == basis2.Q
 
 
-def test_enumerate_subgroups_ell5(basis5):
-    assert len(enumerate_subgroups(basis5)) == 6
+def test_subgroup_lines_ell5(basis5):
+    gens = [basis5.combine(a, b) for a, b in subgroup_lines(5)]
+    assert len(set(gens)) == 6
+    assert all(g is not None and scalar_mul(basis5.curve, 5, g) is None
+               for g in gens)
 
 
 @pytest.mark.parametrize("ell", [2, 5])
@@ -278,7 +293,7 @@ def test_subgroups_partition_nonzero_points(ex2_curve, ex2_frob, ell):
     ctx = TorsionContext(ell, ex2_curve, ex2_frob)
     B = find_torsion_basis(ctx)
     seen = {}
-    for g in enumerate_subgroups(B):
+    for g in (B.combine(a, b) for a, b in subgroup_lines(ell)):
         for k in range(1, ell):
             A = scalar_mul(ex2_curve, k, g)
             assert A not in seen
