@@ -21,6 +21,9 @@ NO_DISTORTION = "NoDistortion"
 INERT = "Inert"
 SPLIT = "Split"
 RAMIFIED = "Ramified"
+# the cases indexed by their number of eigenlines among the ell + 1
+# order-ell subgroups; every other subgroup is distorted
+CASES = (INERT, RAMIFIED, SPLIT)
 
 
 class NotImaginary(ValueError):
@@ -120,12 +123,9 @@ class ClassificationReport:
 
     def predicted_count(self) -> int:
         """Distorted-subgroup count predicted by the case tag."""
-        return {
-            NO_DISTORTION: 0,
-            INERT: self.ell + 1,
-            SPLIT: self.ell - 1,
-            RAMIFIED: self.ell,
-        }[self.case_tag]
+        if self.case_tag == NO_DISTORTION:
+            return 0
+        return self.ell + 1 - CASES.index(self.case_tag)
 
     def __repr__(self):
         return (
@@ -150,8 +150,7 @@ def classify_case(od: OrderData, ell: int) -> ClassificationReport:
             f"warning: {ell} divides neither conductor index nor d_K; "
             "E[ell] cannot be fully rational for this curve"
         )
-    symbol = kronecker(od.d_K, ell)
-    tag = {-1: INERT, 1: SPLIT, 0: RAMIFIED}[symbol]
+    tag = CASES[kronecker(od.d_K, ell) + 1]
     return ClassificationReport(tag, ell, notes=notes)
 
 
@@ -183,7 +182,7 @@ def distortion_census(M: TorsionMatrix) -> ClassificationReport:
     roots = quadratic_roots_mod(char_poly_mod_ell(M), ell)
     eigen = sorted(_eigenline(M, lam) for lam in roots)
     return ClassificationReport(
-        {0: INERT, 1: RAMIFIED, 2: SPLIT}[len(roots)], ell,
+        CASES[len(roots)], ell,
         census_distorted=ell + 1 - len(eigen), eigen_subgroups=eigen,
     )
 

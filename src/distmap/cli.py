@@ -313,10 +313,9 @@ def cmd_paper_examples(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    if args.action == "export":
-        sys.stdout.write(catalog_mod.export_catalog())
-        return 0
-    raise ValueError(f"unknown catalog action {args.action!r}")
+    # argparse admits only the action "export"
+    sys.stdout.write(catalog_mod.export_catalog())
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

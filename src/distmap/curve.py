@@ -41,6 +41,7 @@ class Curve:
 
     def __init__(self, field: PrimeField, a4: int, a6: int):
         self.field = field
+        self.p = field.p
         self.a4 = a4 % field.p
         self.a6 = a6 % field.p
         disc = (4 * self.a4 ** 3 + 27 * self.a6 ** 2) % field.p
@@ -48,10 +49,6 @@ class Curve:
             raise ValueError(
                 f"singular curve: 4*a4^3 + 27*a6^2 = 0 mod {field.p}"
             )
-
-    @property
-    def p(self) -> int:
-        return self.field.p
 
     def __eq__(self, other):
         return (

@@ -11,9 +11,9 @@ its own line (e_ell(P, phi(P)) != 1).
 import random
 
 from .curve import Point, PointNotOnCurve, _mul
-from .endo import RationalEndomorphism, endo_eval
-from .pairing import NotTorsion, _weil
-from .torsion import NotInTorsion, TorsionBasis, dlog2d
+from .endo import IncompatibleCurve, RationalEndomorphism
+from .pairing import NotInTorsion, _weil
+from .torsion import TorsionBasis
 
 
 class NotADistortionMap(ValueError):
@@ -36,25 +36,26 @@ class DdhInstance:
         return f"DdhInstance(base={self.base}, triple={self.triple})"
 
 
-def _subgroup_dlog(B: TorsionBasis, A: Point) -> int:
-    """dlog of A in <P>; raises InstanceInvalid outside the subgroup."""
+def _member(B: TorsionBasis, A: Point) -> Point:
+    """A, validated, if it lies in <P>; raises InstanceInvalid otherwise.
+
+    The basis's table of the multiples of P holds exactly the points of
+    <P>, so membership is one lookup."""
     try:
-        a, b = dlog2d(B, A)
-    except (NotInTorsion, PointNotOnCurve) as exc:
-        raise InstanceInvalid(f"{A} is not in E[{B.ell}]") from exc
-    if b != 0:
-        raise InstanceInvalid(f"{A} is not in <P> (Q-component {b})")
-    return a
+        V = B.curve.validate(A)
+    except PointNotOnCurve as exc:
+        raise InstanceInvalid(f"{A} is not on the curve") from exc
+    if V not in B.p_multiples:
+        raise InstanceInvalid(f"{A} is not in <P>")
+    return V
 
 
-def _image(B: TorsionBasis, phi: RationalEndomorphism, A: Point) -> Point:
-    """phi(A), checked to lie in E[ell] as a pairing argument must."""
-    img = endo_eval(phi, A)
-    if phi.curve != B.curve:
-        # a map given on another curve: its image must still lie on ours
-        img = B.curve.validate(img)
+def _image(B: TorsionBasis, phi: RationalEndomorphism, V: Point) -> Point:
+    """phi(V) for a validated V, checked to lie in E[ell] as a pairing
+    argument must."""
+    img = phi.image(V)
     if _mul(B.curve, B.ell, img) is not None:
-        raise NotTorsion(f"arguments must lie in E[{B.ell}]")
+        raise NotInTorsion(f"arguments must lie in E[{B.ell}]")
     return img
 
 
@@ -64,21 +65,21 @@ def ddh_decide(B: TorsionBasis, phi: RationalEndomorphism, inst: DdhInstance) ->
     ell = B.ell
     if C.validate(inst.base) != B.P:
         raise InstanceInvalid("instance base point differs from the basis P")
-    # e(P, phi(P)) depends only on the basis and phi: pair once per phi
+    # phi's curve and e(P, phi(P)) depend only on the basis and phi: check
+    # and pair once per phi
     if phi not in B.distorts:
+        if phi.curve != C:
+            raise IncompatibleCurve("endomorphism and basis live on different curves")
         e = _weil(C, ell, B.P, _image(B, phi, B.P))
         B.distorts[phi] = not e.is_trivial()
     if not B.distorts[phi]:
         raise NotADistortionMap(
             f"{phi.label} fixes <P>: e(P, phi(P)) = 1, cannot decide DDH"
         )
-    R, S, T = inst.triple
-    for A in (R, S, T):
-        _subgroup_dlog(B, A)
-    # each of R, S and T was one lookup in the basis's table of the
-    # multiples of P; validating R once more only canonicalizes its
-    # coordinates for the unchecked pairing
-    lhs = _weil(C, ell, C.validate(R), _image(B, phi, S))
+    # one validate and one table lookup per member; the canonical points
+    # returned feed phi and the unchecked pairing directly
+    R, S, T = (_member(B, A) for A in inst.triple)
+    lhs = _weil(C, ell, R, _image(B, phi, S))
     rhs = _weil(C, ell, B.P, _image(B, phi, T))
     return lhs == rhs
 

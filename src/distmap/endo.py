@@ -10,7 +10,9 @@ and norm of its minimal polynomial X^2 - trace*X + norm.  The built-in maps:
                   with alpha = 386 and minimal polynomial X^2 - X + 2.
   scalar(k)       multiplication by k, minimal polynomial (X - k)^2.
 
-Rational maps send denominator zeros (kernel points) to the identity.
+The first two are rational maps (x, y) -> (x_num/den, y*y_num/den^2) with
+one denominator polynomial, so an image costs one field inversion; zeros
+of the denominator (kernel points) go to the identity.
 """
 
 import re
@@ -56,21 +58,21 @@ class RationalEndomorphism:
         return f"RationalEndomorphism({self.label!r} on {self.curve!r})"
 
 
-def _rational_map(C: Curve, label: str, x_num, x_den, y_num, y_den):
-    """The image function (x, y) -> (x_num/x_den, y * y_num/y_den), the
-    polynomials evaluated at x; denominator zeros go to the identity."""
+def _rational_map(C: Curve, label: str, x_num, y_num, den):
+    """The image function (x, y) -> (x_num/den, y * y_num/den^2), the
+    polynomials evaluated at x; zeros of den go to the identity."""
     p = C.p
 
     def image(A: Point) -> Point:
         if A is None:
             return None
         x, y = A
-        xd = _poly_eval(x_den, x, p)
-        yd = _poly_eval(y_den, x, p)
-        if xd == 0 or yd == 0:
+        d = _poly_eval(den, x, p)
+        if d == 0:
             return None
-        xi = _poly_eval(x_num, x, p) * C.field.inv(xd) % p
-        yi = y * _poly_eval(y_num, x, p) % p * C.field.inv(yd) % p
+        inv = pow(d, -1, p)
+        xi = _poly_eval(x_num, x, p) * inv % p
+        yi = y * _poly_eval(y_num, x, p) % p * inv % p * inv % p
         img = (xi, yi)
         if not C.contains(img):
             raise ImageOffCurve(f"{label} sent {A} to {img}, off the curve")
@@ -95,7 +97,7 @@ def make_catalog_endo(label: str, curve: Curve) -> RationalEndomorphism:
         i = curve.field.sqrt(p - 1)
         return RationalEndomorphism(
             curve, label, trace=0, norm=1,
-            image=_rational_map(curve, label, [-1 % p, 0], [1], [i], [1]),
+            image=_rational_map(curve, label, [-1 % p, 0], [i], [1]),
         )
     if label == "alpha_701":
         if p != 701 or curve.a4 != -35 % 701 or curve.a6 != 98:
@@ -107,15 +109,15 @@ def make_catalog_endo(label: str, curve: Curve) -> RationalEndomorphism:
         d = 7 * pow(1 - alpha, 4, p) % p
         ia2 = curve.field.inv(alpha * alpha)
         ia3 = curve.field.inv(pow(alpha, 3, p))
-        # x-image:  alpha^-2 * (x^2 + c*x - d) / (x + c)
-        # y-factor: alpha^-3 * ((x + c)^2 + d) / (x + c)^2
+        # with den = x + c, x-image alpha^-2 * (x^2 + c*x - d) / den and
+        # y-factor alpha^-3 * ((x + c)^2 + d) / den^2
         return RationalEndomorphism(
             curve, label, trace=1, norm=2,
             image=_rational_map(
                 curve, label,
-                [ia2, ia2 * c % p, ia2 * (-d) % p], [1, c],
+                [ia2, ia2 * c % p, ia2 * (-d) % p],
                 [ia3, ia3 * 2 * c % p, ia3 * (c * c + d) % p],
-                [1, 2 * c % p, c * c % p],
+                [1, c],
             ),
         )
     m = _SCALAR_RE.match(label)

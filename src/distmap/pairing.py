@@ -19,8 +19,8 @@ from .curve import Curve, Point, _mul
 from .field import check_ell
 
 
-class NotTorsion(ValueError):
-    """A pairing argument is not killed by ell."""
+class NotInTorsion(ValueError):
+    """A point is not killed by ell, so it lies outside E[ell]."""
 
 
 class PairingValue:
@@ -116,7 +116,7 @@ def weil_pairing(C: Curve, ell: int, A: Point, B: Point) -> PairingValue:
     A = C.validate(A)
     B = C.validate(B)
     if _mul(C, ell, A) is not None or _mul(C, ell, B) is not None:
-        raise NotTorsion(f"arguments must lie in E[{ell}]")
+        raise NotInTorsion(f"arguments must lie in E[{ell}]")
     return _weil(C, ell, A, B)
 
 

@@ -17,7 +17,7 @@ from .curve import (
     point_neg,
 )
 from .field import check_ell
-from .pairing import _weil
+from .pairing import NotInTorsion, _weil
 
 
 class TorsionNotRational(ValueError):
@@ -26,10 +26,6 @@ class TorsionNotRational(ValueError):
 
 class SamplingExhausted(RuntimeError):
     """Random search for a basis point exceeded its trial budget."""
-
-
-class NotInTorsion(ValueError):
-    """Point is not killed by ell."""
 
 
 class TorsionContext:
@@ -65,26 +61,20 @@ class TorsionBasis:
         for A in (P, Q):
             V = C.validate(A)
             if V is None or _mul(C, ell, V) is not None:
-                raise NotInTorsion(f"{A} does not have exact order {ell}")
+                raise NotInTorsion(f"{A or 'O'} does not have exact order {ell}")
             basis.append(V)
         P, Q = basis
         e = _weil(C, ell, P, Q)
         if e.is_trivial():
             raise NotInTorsion("pairing e(P, Q) = 1: Q lies in <P>, not a basis")
         self.ctx = ctx
+        self.curve = C
+        self.ell = ell
         self.P = P
         self.Q = Q
         self.pairing_pq = e
         # phi -> whether phi distorts <P>, filled in by ddh.ddh_decide
         self.distorts = {}
-
-    @property
-    def curve(self) -> Curve:
-        return self.ctx.curve
-
-    @property
-    def ell(self) -> int:
-        return self.ctx.ell
 
     @cached_property
     def p_multiples(self) -> dict:

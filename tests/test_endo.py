@@ -210,3 +210,68 @@ def test_nested_shift_matches_single_shift(basis5, alpha):
         A = basis5.combine(a, b)
         assert endo_eval(nested, A) == endo_eval(once, A)
     assert endo_matrix(nested, basis5) == endo_matrix(once, basis5)
+
+
+def _two_denominator_map(C, x_num, x_den, y_num, y_den):
+    """Reference image (x, y) -> (x_num/x_den, y * y_num/y_den), with a
+    y-denominator of its own; coefficients highest degree first."""
+    p = C.p
+
+    def ev(coeffs, x):
+        acc = 0
+        for c in coeffs:
+            acc = (acc * x + c) % p
+        return acc
+
+    def image(A):
+        if A is None:
+            return None
+        x, y = A
+        xd, yd = ev(x_den, x), ev(y_den, x)
+        if xd == 0 or yd == 0:
+            return None
+        return (ev(x_num, x) * pow(xd, -1, p) % p,
+                y * ev(y_num, x) * pow(yd, -1, p) % p)
+
+    return image
+
+
+def test_alpha_one_denominator_matches_two(ex2_curve, alpha):
+    p, a = 701, 386
+    c, d = (a * a - 2) % p, 7 * pow(1 - a, 4, p) % p
+    ia2, ia3 = pow(a * a, -1, p), pow(a, -3, p)
+    ref = _two_denominator_map(
+        ex2_curve,
+        [ia2, ia2 * c, -ia2 * d], [1, c],
+        [ia3, 2 * c * ia3, ia3 * (c * c + d)], [1, 2 * c, c * c],
+    )
+    pts = _all_points(ex2_curve)
+    assert len(pts) == 700
+    for A in pts:
+        assert alpha.image(A) == ref(A)
+
+
+def _sqrt_minus_one_reference(C):
+    p = C.p
+    return _two_denominator_map(C, [-1, 0], [1], [C.field.sqrt(p - 1)], [1])
+
+
+@pytest.mark.parametrize("p", [5, 13, 17, 29])
+def test_sqrt_minus_one_one_denominator_matches_two(p):
+    C = get_entry(f"ex1-f{p}").curve
+    i, ref = make_catalog_endo("sqrt_minus_one", C), _sqrt_minus_one_reference(C)
+    for A in _all_points(C):
+        assert i.image(A) == ref(A)
+
+
+def test_sqrt_minus_one_one_denominator_matches_two_ell31(basis31):
+    C = basis31.curve
+    i, ref = make_catalog_endo("sqrt_minus_one", C), _sqrt_minus_one_reference(C)
+    rng = random.Random(31)
+    pts = [basis31.combine(rng.randrange(31), rng.randrange(31)) for _ in range(64)]
+    while len(pts) < 192:
+        y = C.field.sqrt(C.rhs(x := rng.randrange(C.p)))
+        if y is not None:
+            pts.append((x, y))
+    for A in pts:
+        assert i.image(A) == ref(A)

@@ -14,7 +14,7 @@ from distmap.curve import (
 )
 from distmap.field import PrimeField
 from distmap.pairing import (
-    NotTorsion,
+    NotInTorsion,
     PairingValue,
     _miller_at_point,
     _weil,
@@ -85,7 +85,7 @@ def test_two_torsion_pairing(ex2_curve):
 
 
 def test_not_torsion_rejected(ex2_curve):
-    with pytest.raises(NotTorsion):
+    with pytest.raises(NotInTorsion):
         weil_pairing(ex2_curve, 5, (319, 0), (224, 31))
 
 
@@ -251,7 +251,7 @@ def test_public_pairing_entries_validate(ex2_curve):
         weil_pairing(ex2_curve, 5, (1, 1), P)
     with pytest.raises(PointNotOnCurve):
         weil_pairing(ex2_curve, 5, P, (1, 1))
-    with pytest.raises(NotTorsion):
+    with pytest.raises(NotInTorsion):
         weil_pairing(ex2_curve, 5, P, (319, 0))
 
 
