@@ -4,7 +4,7 @@ Library + CLI: Weil-pairing DDH on <P>, endomorphism action on E[ell],
 and the order-theoretic classification of distortion-map existence.
 """
 
-from .field import PrimeField, kronecker
+from .field import PrimeField
 from .curve import (
     Curve,
     FrobeniusData,

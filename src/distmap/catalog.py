@@ -25,15 +25,10 @@ class CurveCatalogEntry:
         else:
             self.curve = Curve(PrimeField(p), a4, a6)
         self.frob = count_points(self.curve)
-        self._order = OrderData.from_frobenius(self.frob.trace_t, p, conductor)
-        self.d_K, self.f_pi = self._order.d_K, self._order.f_pi
-        self.conductor = conductor
+        self.order = OrderData.from_frobenius(self.frob.trace_t, p, conductor)
         self.endo_labels = tuple(endo_labels)
         self.default_ell = default_ell
         self.notes = notes
-
-    def order_data(self) -> OrderData:
-        return self._order
 
     def with_prime(self, p: int) -> "CurveCatalogEntry":
         """Re-reduce a rational-coefficient entry at a different prime."""
@@ -41,7 +36,7 @@ class CurveCatalogEntry:
             raise ValueError(f"{self.name} has no rational model to re-reduce")
         return CurveCatalogEntry(
             f"{self.name}@{p}", p, rational=self.rational,
-            endo_labels=self.endo_labels, conductor=self.conductor,
+            endo_labels=self.endo_labels, conductor=self.order.c,
             default_ell=self.default_ell, notes=self.notes,
         )
 
@@ -120,9 +115,9 @@ def export_catalog() -> str:
             lines.append(f"a6={e.curve.a6}")
         lines.append(f"order={e.frob.order_n}")
         lines.append(f"trace={e.frob.trace_t}")
-        lines.append(f"d_K={e.d_K}")
-        lines.append(f"f_pi={e.f_pi}")
-        lines.append(f"conductor={e.conductor}")
+        lines.append(f"d_K={e.order.d_K}")
+        lines.append(f"f_pi={e.order.f_pi}")
+        lines.append(f"conductor={e.order.c}")
         if e.endo_labels:
             lines.append(f"endos={','.join(e.endo_labels)}")
         if e.default_ell:

@@ -84,8 +84,8 @@ class Curve:
         return (x, y)
 
     def lift_x(self, x: int) -> Point:
-        """A point with the given x-coordinate (smaller y), or None marker
-        via exception if x is not on the curve."""
+        """A point with the given x-coordinate (smaller y); raises
+        PointNotOnCurve if no point of the curve has that x."""
         y = self.field.sqrt(self.rhs(x % self.p))
         if y is None:
             raise PointNotOnCurve(f"x={x} has no point on {self!r}")

@@ -122,36 +122,3 @@ class PrimeField:
             t = t * c % p
             r = r * b % p
         return min(r, p - r)
-
-
-def kronecker(D: int, n: int) -> int:
-    """Kronecker symbol (D|n) for n >= 1.
-
-    For odd prime n with gcd(D, n) = 1 this is the Legendre symbol.
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if n == 1:
-        return 1
-    result = 1
-    # strip factors of 2 from n
-    while n % 2 == 0:
-        n //= 2
-        if D % 2 == 0:
-            return 0
-        if D % 8 in (3, 5):
-            result = -result
-    if n == 1:
-        return result
-    D %= n
-    # Jacobi symbol via quadratic reciprocity on the remaining odd part
-    while D != 0:
-        while D % 2 == 0:
-            D //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        D, n = n, D
-        if D % 4 == 3 and n % 4 == 3:
-            result = -result
-        D %= n
-    return result if n == 1 else 0

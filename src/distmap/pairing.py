@@ -35,8 +35,6 @@ class PairingValue:
         self.value = value
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.curve.p
         return isinstance(other, PairingValue) and other.value == self.value
 
     def __hash__(self):
@@ -54,19 +52,13 @@ def _step(C: Curve, U: Point, V: Point, X: Point) -> tuple:
     the line through U and V, the value at X of the vertical through
     U + V, and U + V itself.
 
-    U and V are points of C.  For U = V with vertical tangent (y = 0),
-    and for U = -V, the line is the vertical through U and the sum is the
-    identity, whose vertical is the constant 1.  Either point being the
-    identity degenerates to the vertical through the other.
+    U and V are affine points of C: in a loop over A of exact order ell
+    they are multiples kA with 0 < k < ell.  For U = V with vertical
+    tangent (y = 0), and for U = -V, the line is the vertical through U
+    and the sum is the identity, whose vertical is the constant 1.
     """
     p = C.p
     x, y = X
-    if U is None or V is None:
-        W = V if U is None else U
-        if W is None:
-            return 1, 1, None
-        v = (x - W[0]) % p
-        return v, v, W
     # curve._add's slope and sum, inlined so one inversion serves both
     # the line and the sum in the innermost loop of every pairing
     x1, y1 = U

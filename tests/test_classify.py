@@ -14,6 +14,7 @@ from distmap.classify import (
     NotImaginary,
     OrderData,
     PredicateViolated,
+    _splitting,
     _squarefree_decompose,
     classify_case,
     decompose_discriminant,
@@ -21,7 +22,7 @@ from distmap.classify import (
     verify_theorem1,
 )
 from distmap.endo import TorsionMatrix, char_poly_mod_ell, quadratic_roots_mod
-from distmap.field import is_prime, kronecker
+from distmap.field import PrimeField, is_prime
 from distmap.torsion import subgroup_lines
 
 
@@ -92,8 +93,64 @@ def test_order_data_validation():
         OrderData(-7, 20, 3)  # 3 does not divide 20
     with pytest.raises(InconsistentInput):
         OrderData(7, 1, 1)
+    for f_pi in (0, -4):
+        with pytest.raises(InconsistentInput, match="f_pi must be positive"):
+            OrderData(-7, f_pi, 1)
     od = OrderData(-7, 20, 2)
     assert od.index_O_Zpi == 10
+
+
+def _is_squarefree(n):
+    return all(n % (k * k) for k in range(2, isqrt(n) + 1))
+
+
+def _fundamental_discriminants(lo, hi):
+    """The negative fundamental discriminants in [lo, hi], by definition:
+    squarefree and 1 mod 4, or 4m with m squarefree and 2 or 3 mod 4."""
+    return [d for d in range(lo, min(hi, -1) + 1)
+            if (d % 4 == 1 and _is_squarefree(-d))
+            or (d % 4 == 0 and d // 4 % 4 in (2, 3) and _is_squarefree(-d // 4))]
+
+
+def test_order_data_accepts_exactly_fundamental_discriminants():
+    # every d_K = 2, 3 mod 4, and every non-fundamental d_K = 0, 1 mod 4
+    # (-12, -16, -27, -28, ...), is rejected
+    fundamental = set(_fundamental_discriminants(-400, -1))
+    assert {-3, -4, -7, -8, -24} <= fundamental
+    for d_K in range(-400, 0):
+        if d_K in fundamental:
+            assert OrderData(d_K, 2, 1).d_K == d_K
+        else:
+            with pytest.raises(InconsistentInput, match="not a fundamental discriminant"):
+                OrderData(d_K, 2, 1)
+
+
+def _splitting_by_roots(d_K, ell):
+    """1, 0 or -1 as the minimal polynomial of the generator of O_K,
+    x^2 - d_K/4 or x^2 - x + (1 - d_K)/4, has 2, 1 or 0 roots mod ell:
+    the definition of ell splitting, ramifying or staying inert."""
+    c1, c0 = (0, -d_K // 4) if d_K % 4 == 0 else (-1, (1 - d_K) // 4)
+    return sum((x * x + c1 * x + c0) % ell == 0 for x in range(ell)) - 1
+
+
+def test_splitting_matches_minimal_polynomial():
+    discriminants = _fundamental_discriminants(-200, -3)
+    assert len(discriminants) == 62
+    for d_K in discriminants:
+        for ell in filter(is_prime, range(2, 98)):
+            assert _splitting(d_K, ell) == _splitting_by_roots(d_K, ell), (d_K, ell)
+
+
+def test_splitting_matches_legendre():
+    for d_K in _fundamental_discriminants(-200, -3):
+        for ell in filter(is_prime, range(3, 98)):
+            assert _splitting(d_K, ell) == PrimeField(ell).legendre(d_K), (d_K, ell)
+
+
+def test_splitting_paper_values():
+    assert _splitting(-7, 5) == -1  # 5 inert in Q(sqrt(-7))
+    assert _splitting(-7, 2) == 1  # 2 splits
+    assert _splitting(-4, 2) == 0  # 2 ramifies
 
 
 def test_classify_paper_cases():
@@ -108,13 +165,33 @@ def test_classify_trichotomy():
         for ell in (2, 3, 5, 7):
             od = OrderData(d_K, ell, 1)
             tag = classify_case(od, ell).case_tag
-            expected = {-1: INERT, 1: SPLIT, 0: RAMIFIED}[kronecker(d_K, ell)]
+            expected = {-1: INERT, 1: SPLIT, 0: RAMIFIED}[_splitting_by_roots(d_K, ell)]
             assert tag == expected
 
 
 def test_classify_note_when_ell_divides_zpi_index():
     report = classify_case(OrderData(-7, 20, 1), 5)
-    assert any("[O : Z[pi]]" in n for n in report.notes)
+    assert report.notes == [
+        "5 divides [O : Z[pi]] = 20; classification proceeds "
+        "(only ell | [O_K : O] blocks distortion maps)"
+    ]
+
+
+def test_classify_warns_when_ell_does_not_divide_zpi_index():
+    # rational E[ell] forces pi = 1 mod ell*O, so ell | [O : Z[pi]]; the
+    # warning does not depend on how ell splits (7 ramifies in Q(sqrt(-7)))
+    warning = ("warning: {} does not divide [O : Z[pi]] = {}; "
+               "E[ell] cannot be fully rational for this curve")
+    for od, ell, tag in ((OrderData(-7, 20, 1), 7, RAMIFIED),
+                         (OrderData(-7, 20, 1), 3, INERT),
+                         (OrderData(-3, 2, 1), 3, RAMIFIED),
+                         (OrderData(-7, 20, 2), 5, INERT)):
+        report = classify_case(od, ell)
+        assert report.case_tag == tag
+        if od.index_O_Zpi % ell:
+            assert report.notes == [warning.format(ell, od.index_O_Zpi)]
+        else:
+            assert len(report.notes) == 1 and "warning" not in report.notes[0]
 
 
 def test_census_inert_matrix():
@@ -213,10 +290,16 @@ def test_verify_theorem1_paper_configurations(basis5, basis2, alpha, ex2_curve):
 
 
 def test_verify_theorem1_mismatch():
+    # a scalar matrix where distortion is predicted
     with pytest.raises(PredicateViolated):
         verify_theorem1(OrderData(-7, 20, 1), matrix(5, 3, 0, 0, 3), 5)
+    # a non-scalar matrix where no distortion is predicted
     with pytest.raises(PredicateViolated):
         verify_theorem1(OrderData(-3, 4, 2), matrix(2, 0, 0, 0, 1), 2)
+    # a non-scalar matrix of the wrong case: Split (two eigenlines,
+    # census 4) where Inert (census 6) is predicted
+    with pytest.raises(PredicateViolated, match="Split.*Inert"):
+        verify_theorem1(OrderData(-7, 20, 1), matrix(5, 1, 0, 0, 2), 5)
 
 
 def test_predicted_counts():

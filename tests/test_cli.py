@@ -24,7 +24,7 @@ def test_catalog_entries_validate():
     assert {"ex2-f701", "ex1-f5", "ex1-f13", "ex1-f17", "ex1-f29",
             "ex4-rational", "ex4-13"} <= set(cat)
     ex2 = get_entry("ex2-f701")
-    assert (ex2.d_K, ex2.f_pi, ex2.conductor) == (-7, 20, 1)
+    assert (ex2.order.d_K, ex2.order.f_pi, ex2.order.c) == (-7, 20, 1)
 
 
 def test_tampered_catalog_rejected():
@@ -118,6 +118,18 @@ def test_classify_inert(capsys):
     assert "case=Inert" in out
 
 
+def test_classify_warns_when_torsion_cannot_be_rational(capsys):
+    # 7 ramifies in Q(sqrt(-7)), but 49 does not divide #E = 700, and
+    # 7 does not divide [O : Z[pi]] = 20
+    code, out = run(capsys, "classify", "--name", "ex2-f701", "--ell", "7")
+    assert code == 0
+    assert out == (
+        "ell=7\ncase=Ramified\npredicted_distorted=7\n"
+        "note=warning: 7 does not divide [O : Z[pi]] = 20; "
+        "E[ell] cannot be fully rational for this curve\n"
+    )
+
+
 def test_census_command(capsys):
     code, out = run(capsys, "census", "--name", "ex2-f701", "--ell", "2",
                     "--phi", "alpha_701", "--A", "319,0", "--B", "389,0")
@@ -161,6 +173,44 @@ def test_ell_not_prime_exit_2(capsys, argv):
 def test_lone_basis_flag_exit_2(capsys, command, flag):
     argv = command + ["--name", "ex2-f701", "--ell", "5"] + flag
     _one_error_line(capsys, argv, "give both --A and --B, or neither")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["endo-matrix", "--name", "ex2-f701", "--ell", "5", "--phi", "alpha_701",
+      "--A", "O", "--B", "573,450"],
+     "O does not have exact order 5"),
+    (["endo-matrix", "--name", "ex2-f701", "--ell", "5", "--phi", "alpha_701",
+      "--A", "319,0", "--B", "573,450"],
+     "(319, 0) does not have exact order 5"),
+    (["curve-info", "--name", "ex2-f701", "--p", "13"],
+     "ex2-f701 has no rational model to re-reduce"),
+    (["pairing", "--name", "ex2-f701", "--ell", "5", "--A", "1,2,3",
+      "--B", "224,31"],
+     "point must be 'x,y' or 'O', got '1,2,3'"),
+])
+def test_rejected_input_exit_2(capsys, argv, message):
+    _one_error_line(capsys, argv, message)
+
+
+def test_missing_required_flag_exit_2(capsys):
+    code = main(["endo-matrix", "--name", "ex2-f701", "--phi", "alpha_701"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "the following arguments are required: --ell" in captured.err
+
+
+def test_sampling_exhausted_exit_2(capsys):
+    # #E = 92 passes the ell^2 | #E and congruence checks, but x = 88 is
+    # the only root of x^3 + 2x + 1: E(F_101)[2] = Z/2, so no second
+    # independent generator is ever drawn
+    code = main(["census", "--p", "101", "--a4", "2", "--a6", "1",
+                 "--ell", "2", "--phi", "scalar(1)"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error=")
+    assert captured.err.count("\n") == 1
 
 
 def test_counting_exhausted_exit_2(capsys, monkeypatch):

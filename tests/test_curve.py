@@ -11,6 +11,7 @@ from distmap.curve import (
     BadReduction,
     CountingExhausted,
     Curve,
+    FrobeniusData,
     PointNotOnCurve,
     SupersingularCurve,
     _count_bsgs,
@@ -131,6 +132,17 @@ def test_supersingular_rejected():
     C = Curve(PrimeField(5), 0, 1)
     with pytest.raises(SupersingularCurve):
         count_points(C)
+
+
+def test_frobenius_data_rejects_bad_trace():
+    FrobeniusData(701, 700, 2)
+    with pytest.raises(ValueError, match="trace inconsistent with order"):
+        FrobeniusData(701, 700, 3)
+    # |t| <= 2 sqrt(q): 52^2 = 2704 <= 2804 < 53^2 = 2809
+    FrobeniusData(701, 701 + 1 - 52, 52)
+    for t in (53, -53):
+        with pytest.raises(ValueError, match="Hasse bound violated"):
+            FrobeniusData(701, 701 + 1 - t, t)
 
 
 def test_bsgs_agrees_with_exhaustive():

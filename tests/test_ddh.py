@@ -52,6 +52,15 @@ def test_scalar_endo_rejected(basis5, ex2_curve):
         ddh_decide(basis5, phi, inst)
 
 
+def test_base_other_than_p_rejected(basis5, alpha, ex2_curve):
+    # 2P and -P generate <P> too, but the decision pairs against P itself
+    P = basis5.P
+    for base in (scalar_mul(ex2_curve, 2, P), scalar_mul(ex2_curve, -1, P), basis5.Q):
+        inst = triple_of(ex2_curve, base, 1, 1, 1)
+        with pytest.raises(InstanceInvalid, match="differs from the basis P"):
+            ddh_decide(basis5, alpha, inst)
+
+
 def test_membership_enforced(basis5, alpha, ex2_curve):
     inst = DdhInstance(basis5.P, (basis5.Q, basis5.P, basis5.P))
     with pytest.raises(InstanceInvalid):

@@ -43,6 +43,12 @@ def test_sqrt_minus_one_requires_p_1_mod_4():
         make_catalog_endo("sqrt_minus_one", Curve(PrimeField(13), 1, 1))
 
 
+def test_matrix_basis_on_another_curve(basis5):
+    e = make_catalog_endo("sqrt_minus_one", Curve(PrimeField(13), 1, 0))
+    with pytest.raises(IncompatibleCurve, match="different curves"):
+        endo_matrix(e, basis5)
+
+
 def test_unknown_label(ex2_curve):
     with pytest.raises(IncompatibleCurve):
         make_catalog_endo("frobenius", ex2_curve)

@@ -1,6 +1,6 @@
 import pytest
 
-from distmap.field import PrimeField, ZeroInverse, is_prime, kronecker
+from distmap.field import PrimeField, ZeroInverse, is_prime
 
 
 def test_rejects_composite_and_even():
@@ -65,24 +65,4 @@ def test_sqrt_squares_back(p):
 def test_euler_criterion_agreement(p):
     F = PrimeField(p)
     for a in range(1, p):
-        assert (kronecker(a, p) == 1) == (F.sqrt(a) is not None)
-
-
-def test_kronecker_paper_values():
-    assert kronecker(-7, 5) == -1  # 5 inert in Q(sqrt(-7))
-    assert kronecker(-7, 2) == 1  # 2 splits
-    assert kronecker(-4, 2) == 0  # shared factor 2
-
-
-def test_kronecker_matches_legendre():
-    for p in (3, 5, 7, 11, 13):
-        F = PrimeField(p)
-        for a in range(-20, 21):
-            assert kronecker(a, p) == F.legendre(a)
-
-
-def test_kronecker_multiplicative_in_bottom():
-    for D in (-7, -4, -3, 5, 12):
-        for m in range(1, 30):
-            for n in range(1, 30):
-                assert kronecker(D, m * n) == kronecker(D, m) * kronecker(D, n)
+        assert (F.legendre(a) == 1) == (F.sqrt(a) is not None)

@@ -223,17 +223,16 @@ def test_fused_miller_step_matches_two_pass(ex2_curve):
         for ell in (2, 5)
     }
     assert (len(torsion[2]), len(torsion[5])) == (4, 25)
-    As = torsion[2] + torsion[5][1:]  # E[2] and E[5] share only O
-    X_set = points[1:41] + As[1:]  # affine evaluation points only
+    # Miller's loop takes A of exact order ell (torsion[ell][0] is O)
+    loops = [(ell, A) for ell in (2, 5) for A in torsion[ell][1:]]
+    X_set = points[1:41] + [A for _, A in loops]  # affine evaluation points only
     evaluations = collisions = 0
-    # every loop length on every argument, so the steps also meet sums
-    # that are not multiples of an order-ell point
-    for ell, A, X in itertools.product((2, 5), As, X_set):
+    for (ell, A), X in itertools.product(loops, X_set):
         got = _miller_at_point(C, ell, A, X)
         assert got == _miller_ref(C, ell, A, X)
         evaluations += 1
         collisions += got is None
-    assert evaluations == 2 * 28 * 67
+    assert evaluations == (3 + 24) * 67
     assert 0 < collisions < evaluations
 
 
