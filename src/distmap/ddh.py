@@ -1,18 +1,26 @@
-"""Decision Diffie-Hellman on <P> via a distortion map and the Weil pairing.
+"""Decision Diffie-Hellman on <P> via a distortion map and a pairing.
 
-Given a triple (R, S, T) of points in <P>, the check
+phi distorts <P> when it moves P out of its own line: e_ell(P, phi(P)) != 1
+for the Weil pairing.  Then for a triple (R, S, T) of points in <P>, the
+check
 
     e_ell(R, phi(S)) == e_ell(P, phi(T))
 
-holds exactly when R = aP, S = bP, T = abP, provided phi moves P out of
-its own line (e_ell(P, phi(P)) != 1).
+holds exactly when R = aP, S = bP, T = abP.  The reduced Tate pairing t
+is bilinear too, so when t(P, phi(P)) != 1 the same holds for
+
+    t(R, phi(S)) == t(P, phi(T)),
+
+at one Miller loop per side where the Weil pairing takes two.  But
+t(P, phi(P)) can be 1 for a phi that distorts <P>; that phi keeps the Weil
+equation.  The verdict and the equation are chosen once per basis and phi.
 """
 
 import random
 
 from .curve import Point, PointNotOnCurve, _mul
 from .endo import IncompatibleCurve, RationalEndomorphism
-from .pairing import NotInTorsion, _weil
+from .pairing import NotInTorsion, _tate, _tate_unreduced, _weil
 from .torsion import TorsionBasis
 
 
@@ -59,29 +67,50 @@ def _image(B: TorsionBasis, phi: RationalEndomorphism, V: Point) -> Point:
     return img
 
 
+def _weil_equation(B: TorsionBasis, R: Point, X: Point, Y: Point) -> bool:
+    """e(R, X) == e(P, Y): two Weil pairings, four Miller loops."""
+    return _weil(B.curve, B.ell, R, X) == _weil(B.curve, B.ell, B.P, Y)
+
+
+def _tate_equation(B: TorsionBasis, R: Point, X: Point, Y: Point) -> bool:
+    """t(R, X) == t(P, Y), as one ratio raised once: two Miller loops, one
+    inversion and one power."""
+    C, ell, p = B.curve, B.ell, B.curve.p
+    lhs = _tate_unreduced(C, ell, R, X)
+    rhs = _tate_unreduced(C, ell, B.P, Y)
+    return pow(lhs * pow(rhs, -1, p), (p - 1) // ell, p) == 1
+
+
+def _rule(B: TorsionBasis, phi: RationalEndomorphism):
+    """The equation that decides DDH on <P> with phi, or None when phi does
+    not distort <P>; chosen once per basis and phi, kept on the basis."""
+    if phi not in B.distorts:
+        if phi.curve != B.curve:
+            raise IncompatibleCurve("endomorphism and basis live on different curves")
+        C, ell, P = B.curve, B.ell, B.P
+        image = _image(B, phi, P)
+        if _weil(C, ell, P, image).is_trivial():
+            B.distorts[phi] = None
+        elif _tate(C, ell, P, image) != 1:
+            B.distorts[phi] = _tate_equation
+        else:
+            B.distorts[phi] = _weil_equation
+    return B.distorts[phi]
+
+
 def ddh_decide(B: TorsionBasis, phi: RationalEndomorphism, inst: DdhInstance) -> bool:
     """True iff the instance triple is a Diffie-Hellman triple over <P>."""
-    C = B.curve
-    ell = B.ell
-    if C.validate(inst.base) != B.P:
+    if B.curve.validate(inst.base) != B.P:
         raise InstanceInvalid("instance base point differs from the basis P")
-    # phi's curve and e(P, phi(P)) depend only on the basis and phi: check
-    # and pair once per phi
-    if phi not in B.distorts:
-        if phi.curve != C:
-            raise IncompatibleCurve("endomorphism and basis live on different curves")
-        e = _weil(C, ell, B.P, _image(B, phi, B.P))
-        B.distorts[phi] = not e.is_trivial()
-    if not B.distorts[phi]:
+    equation = _rule(B, phi)
+    if equation is None:
         raise NotADistortionMap(
             f"{phi.label} fixes <P>: e(P, phi(P)) = 1, cannot decide DDH"
         )
     # one validate and one table lookup per member; the canonical points
-    # returned feed phi and the unchecked pairing directly
+    # returned feed phi and the unchecked pairings directly
     R, S, T = (_member(B, A) for A in inst.triple)
-    lhs = _weil(C, ell, R, _image(B, phi, S))
-    rhs = _weil(C, ell, B.P, _image(B, phi, T))
-    return lhs == rhs
+    return equation(B, R, _image(B, phi, S), _image(B, phi, T))
 
 
 def ddh_sample(B: TorsionBasis, honest: bool, seed: int = 0) -> DdhInstance:

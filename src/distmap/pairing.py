@@ -1,14 +1,23 @@
-"""Miller's algorithm and the Weil pairing on E[ell].
+"""Miller's algorithm, the Weil pairing and the reduced Tate pairing on
+E[ell].
 
 Everything lives in F_p: with q = 1 mod ell the ell-th roots of unity are
 rational, so pairing values are plain field elements (embedding degree 1).
 
-The pairing is e_ell(A, B) = (-1)^ell f_B(A) / f_A(B) for the two Miller
-functions with div(f_A) = ell(A) - ell(O), built from normalized lines and
-verticals (Miller, "The Weil pairing, and its efficient calculation",
-J. Cryptology 17, 2004): no auxiliary divisors are needed.  A line of
-either loop can vanish at the other point only when B lies in <A>, where
-the pairing is 1.
+The Weil pairing is e_ell(A, B) = (-1)^ell f_B(A) / f_A(B) for the two
+Miller functions with div(f_A) = ell(A) - ell(O), built from normalized
+lines and verticals (Miller, "The Weil pairing, and its efficient
+calculation", J. Cryptology 17, 2004): no auxiliary divisors are needed.
+A line of either loop can vanish at the other point only when B lies in
+<A>, where the pairing is 1.
+
+The reduced Tate pairing t(A, X) = f_A(X)^((p-1)/ell) (Frey-Rueck 1994;
+Galbraith, "Pairings", Advances in Elliptic Curve Cryptography, ch. IX,
+2005) needs one Miller loop.  With normalized functions f_A may be read at
+the point X itself rather than at a divisor equivalent to (X) - (O): the
+two differ by an ell-th power, which the final power removes.  It is
+bilinear, but unlike the Weil pairing it can be 1 for X outside <A>, e.g.
+when X lies in ell*E(F_p).
 
 The exported convention is pinned by golden values: on the curve
 y^2 = x^3 - 35x + 98 over F_701 the 5-torsion basis point P = (224, 31)
@@ -126,3 +135,25 @@ def _weil(C: Curve, ell: int, A: Point, B: Point) -> PairingValue:
     # matching the pinned golden value 464
     p = C.p
     return PairingValue(C, ell, (-1) ** ell * fb * pow(fa, -1, p) % p)
+
+
+def _tate_unreduced(C: Curve, ell: int, A: Point, X: Point) -> int:
+    """f_{ell,A}(X), the Tate pairing before its final power, for A, X in
+    E[ell] on C; 1 when A or X is O.
+
+    X must lie outside <A> unless it is O: there some line of the loop
+    vanishes at X, and ValueError is raised.
+    """
+    if A is None or X is None:
+        return 1
+    f = _miller_at_point(C, ell, A, X)
+    if f is None:
+        raise ValueError(f"{X} lies in <{A}>, where f_A cannot be read")
+    return f
+
+
+def _tate(C: Curve, ell: int, A: Point, X: Point) -> int:
+    """The reduced Tate pairing t(A, X) = f_{ell,A}(X)^((p-1)/ell) in
+    mu_ell < F_p*, for A, X in E[ell] on C with X outside <A> unless it is
+    O; 1 when A or X is O."""
+    return pow(_tate_unreduced(C, ell, A, X), (C.p - 1) // ell, C.p)

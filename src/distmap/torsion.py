@@ -73,7 +73,8 @@ class TorsionBasis:
         self.P = P
         self.Q = Q
         self.pairing_pq = e
-        # phi -> whether phi distorts <P>, filled in by ddh.ddh_decide
+        # phi -> the equation that decides DDH on <P> with phi (None when
+        # phi does not distort <P>), filled in by ddh.ddh_decide
         self.distorts = {}
 
     @cached_property

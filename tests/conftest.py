@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from distmap import (
     Curve,
@@ -10,6 +11,10 @@ from distmap import (
     find_torsion_basis,
     make_catalog_endo,
 )
+
+# CI runs the property tests under this profile (--hypothesis-profile=ci):
+# the examples depend on the code alone, so a red run replays locally
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 # y^2 = x^3 + A*x over F_p with E[31] rational: CM by Z[i] with Frobenius
 # pi = (1 + 31c) + 31d*i, so #E = N(pi - 1) = 31^2 (c^2 + d^2).  31 is

@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from distmap import curve, ddh, endo, torsion
+from distmap import curve, ddh, endo, pairing, torsion
 from distmap.curve import Curve, scalar_mul
 from distmap.ddh import (
     DdhInstance,
@@ -187,17 +188,28 @@ def validate_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture()
-def weil_calls(monkeypatch):
+def _counted(monkeypatch, module, name):
+    """The argument tuples of every call to module.name from now on."""
     calls = []
-    weil = ddh._weil
+    f = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
-        return weil(*args)
+        return f(*args)
 
-    monkeypatch.setattr(ddh, "_weil", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.fixture()
+def weil_calls(monkeypatch):
+    return _counted(monkeypatch, ddh, "_weil")
+
+
+@pytest.fixture()
+def miller_calls(monkeypatch):
+    # every Miller loop, of a Weil or a Tate pairing alike
+    return _counted(monkeypatch, pairing, "_miller_at_point")
 
 
 def test_validate_calls_per_decision_flat_in_ell(
@@ -219,29 +231,130 @@ def test_validate_calls_per_decision_flat_in_ell(
     assert per_decision[5] == per_decision[31] == {4}
 
 
-def test_distortion_check_paired_once_per_phi(weil_calls, basis5, alpha):
+def test_distortion_check_paired_once_per_phi(weil_calls, miller_calls, basis5, alpha):
+    # a cold decision adds one Weil check (two Miller loops) and one Tate
+    # check (one loop) to the two loops of the Tate equation
     B = _fresh(basis5)
     inst = ddh_sample(B, honest=True, seed=1)
+    miller_calls.clear()  # the basis's own e(P, Q)
     ddh_decide(B, alpha, inst)
-    assert len(weil_calls) == 3
+    assert (len(weil_calls), len(miller_calls)) == (1, 5)
     for seed in range(4):
         weil_calls.clear()
+        miller_calls.clear()
         ddh_decide(B, alpha, ddh_sample(B, honest=seed % 2 == 0, seed=seed))
-        assert len(weil_calls) == 2
+        assert (len(weil_calls), len(miller_calls)) == (0, 2)
     weil_calls.clear()
+    miller_calls.clear()
     ddh_decide(B, shifted_endo(alpha, 1), inst)  # a new phi: checked afresh
-    assert len(weil_calls) == 3
+    assert (len(weil_calls), len(miller_calls)) == (1, 5)
     assert len(B.distorts) == 2
 
 
-def test_cached_non_distortion_still_raises(weil_calls, basis5, ex2_curve):
+def test_cached_non_distortion_still_raises(weil_calls, miller_calls, basis5, ex2_curve):
+    # one Weil check, which stops after one loop since 2P lies in <P>, and
+    # no Tate check; the second call raises from the cache
     B = _fresh(basis5)
     phi = make_catalog_endo("scalar(2)", ex2_curve)
     inst = triple_of(ex2_curve, B.P, 2, 3, 6)
+    miller_calls.clear()  # the basis's own e(P, Q)
     for _ in range(2):
         with pytest.raises(NotADistortionMap):
             ddh_decide(B, phi, inst)
-    assert len(weil_calls) == 1
+    assert (len(weil_calls), len(miller_calls)) == (1, 1)
+
+
+@pytest.mark.parametrize("case, loops", [
+    ("alpha on ex2", 2),
+    ("[i] at ell = 31", 2),
+    ("alpha + scalar(2) on ex2", 4),
+])
+def test_miller_loops_per_warm_decision(miller_calls, basis5, basis31, alpha, case, loops):
+    # the Tate equation reads one Miller function per side; the Weil
+    # equation, kept where t(P, phi(P)) = 1, reads two
+    B, phi = {
+        "alpha on ex2": (basis5, alpha),
+        "[i] at ell = 31": (basis31, make_catalog_endo("sqrt_minus_one", basis31.curve)),
+        "alpha + scalar(2) on ex2": (basis5, shifted_endo(alpha, 2)),
+    }[case]
+    # R, S and T all differ from O: a pairing with O in a slot takes no loop
+    insts = [triple_of(B.curve, B.P, a, b, c)
+             for a, b, c in ((2, 3, 6), (1, 1, 1), (3, 4, 2), (4, 4, 1), (2, 2, 3))]
+    ddh_decide(B, phi, insts[0])  # warm: tables and caches filled
+    counts = set()
+    for inst in insts:
+        miller_calls.clear()
+        ddh_decide(B, phi, inst)
+        counts.add(len(miller_calls))
+    assert counts == {loops}
+
+
+def _check_rule(B, phi, rule, triples):
+    """Decide each (a, b, c) against ab = c mod ell and check the rule
+    chosen for (B, phi).  On the same points the Weil equation always
+    decides; the Tate equation decides where it is chosen and accepts
+    every triple where it is not (t is trivial on <P> x phi(<P>) there)."""
+    C, ell = B.curve, B.ell
+    for a, b, c in triples:
+        truth = a * b % ell == c % ell
+        inst = triple_of(C, B.P, a, b, c)
+        assert ddh_decide(B, phi, inst) == truth
+        R, S, T = inst.triple
+        args = (B, R, phi.image(S), phi.image(T))
+        assert ddh._weil_equation(*args) == truth
+        assert ddh._tate_equation(*args) == (truth or rule is ddh._weil_equation)
+    assert B.distorts[phi] is rule
+
+
+def test_tate_rule_against_weil_rule_ex2(basis5, alpha):
+    # all of (Z/5)^3 with alpha + k; k = 2 has t(P, phi(P)) = 1 although
+    # phi distorts <P>, so it keeps the Weil equation
+    for k in range(5):
+        rule = ddh._weil_equation if k == 2 else ddh._tate_equation
+        _check_rule(_fresh(basis5), shifted_endo(alpha, k), rule,
+                    itertools.product(range(5), repeat=3))
+
+
+def test_tate_rule_against_weil_rule_ell2(basis2_distorted, alpha):
+    _check_rule(_fresh(basis2_distorted), alpha, ddh._tate_equation,
+                itertools.product(range(2), repeat=3))
+
+
+def test_tate_rule_against_weil_rule_ell31(basis31):
+    # [i] takes the Tate equation; [i] + 11 distorts <P> too, but
+    # t(P, phi(P)) = 1 for it
+    i = make_catalog_endo("sqrt_minus_one", basis31.curve)
+    rng = random.Random(31)
+    triples = []
+    for _ in range(40):
+        a, b = rng.randrange(31), rng.randrange(31)
+        triples.append((a, b, a * b if rng.random() < 0.5 else rng.randrange(31)))
+    for phi, rule in ((i, ddh._tate_equation),
+                      (shifted_endo(i, 11), ddh._weil_equation)):
+        _check_rule(_fresh(basis31), phi, rule, triples)
+
+
+def test_triples_with_s_identity(basis5, alpha, ex2_curve):
+    # b = 0 makes phi(S) = O, so the left side is t(R, O) = 1 (e(R, O) = 1
+    # under the Weil rule): the triple holds exactly when T = O
+    for phi in (alpha, shifted_endo(alpha, 2)):
+        B = _fresh(basis5)
+        for a, c in itertools.product(range(5), repeat=2):
+            inst = triple_of(ex2_curve, B.P, a, 0, c)
+            assert ddh_decide(B, phi, inst) is (c == 0)
+
+
+def test_map_into_p_refused_by_tate_rule(basis5, alpha, ex2_curve):
+    # no endomorphism that distorts <P> sends a point of <P> other than O
+    # back into <P>; a map that does cannot be read by the Tate equation
+    S = scalar_mul(ex2_curve, 3, basis5.P)
+    fake = RationalEndomorphism(
+        ex2_curve, "fake", trace=alpha.trace, norm=alpha.norm,
+        image=lambda A: S if A == S else alpha.image(A),
+    )
+    inst = triple_of(ex2_curve, basis5.P, 2, 3, 6)
+    with pytest.raises(ValueError, match="lies in"):
+        ddh_decide(_fresh(basis5), fake, inst)
 
 
 def test_image_outside_torsion_raises_not_torsion(basis5, alpha, ex2_curve):

@@ -7,6 +7,7 @@ from distmap import pairing
 from distmap.curve import (
     Curve,
     PointNotOnCurve,
+    _add,
     _mul,
     point_add,
     point_neg,
@@ -17,6 +18,7 @@ from distmap.pairing import (
     NotInTorsion,
     PairingValue,
     _miller_at_point,
+    _tate,
     _weil,
     weil_pairing,
 )
@@ -307,3 +309,98 @@ def test_weil_matches_offset_pairing_exhaustive(ell, primes, n_curves):
             assert _weil(C, ell, A, B).value == _weil_ref(C, ell, A, B)
             pairs += 1
     assert (curves, pairs) == (n_curves, n_curves * ell ** 4)
+
+
+def _affine_points(C, n):
+    """The first n affine points of C, by x."""
+    points = []
+    for x in range(C.p):
+        y = C.field.sqrt(C.rhs(x))
+        if y is not None:
+            points.append((x, y))
+            if len(points) == n:
+                break
+    return points
+
+
+def _tate_by_divisor(C, ell, A, X, offsets):
+    """t(A, X) from its definition, f_A((X + R) - (R))^((p-1)/ell), at the
+    first offset R that keeps the divisor off the zeros and poles of f_A
+    (a degree-0 divisor, so the normalization of f_A plays no part); None
+    when no offset does."""
+    p = C.p
+    for R in offsets:
+        XR = _add(C, X, R)
+        num = None if XR is None else _miller_at_point(C, ell, A, XR)
+        den = _miller_at_point(C, ell, A, R)
+        if num is not None and den is not None:
+            return pow(num * pow(den, -1, p), (p - 1) // ell, p)
+    return None
+
+
+def test_tate_pinned_value_ex2(ex2_curve):
+    # 638 is what the divisor definition gives, and bilinearity in both
+    # arguments carries it to every pair of <A> x <X>
+    C, A, X = ex2_curve, (224, 31), (173, 194)
+    assert _tate(C, 5, A, X) == 638
+    assert _tate_by_divisor(C, 5, A, X, _affine_points(C, 4)) == 638
+    for a, b in itertools.product(range(5), repeat=2):
+        assert _tate(C, 5, _mul(C, a, A), _mul(C, b, X)) == pow(638, a * b, 701)
+
+
+@pytest.mark.parametrize("ell", [5, 31])
+def test_tate_bilinear(ell, basis5, basis31):
+    B = basis5 if ell == 5 else basis31
+    C, p = B.curve, B.curve.p
+    rng = random.Random(ell)
+    checked = 0
+    while checked < 20:
+        a1, b1, a2, b2 = (rng.randrange(ell) for _ in range(4))
+        if (a1 * b2 - a2 * b1) % ell == 0:
+            continue  # keep X outside <A>
+        A, X = B.combine(a1, b1), B.combine(a2, b2)
+        t = _tate(C, ell, A, X)
+        assert pow(t, ell, p) == 1
+        a, b = rng.randrange(ell), rng.randrange(ell)
+        assert _tate(C, ell, _mul(C, a, A), _mul(C, b, X)) == pow(t, a * b, p)
+        checked += 1
+    # the pairing is not trivial on the basis itself
+    assert _tate(C, ell, B.P, B.Q) != 1 or _tate(C, ell, B.Q, B.P) != 1
+
+
+def test_tate_identity_argument(ex2_curve):
+    A, X = (224, 31), (173, 194)
+    assert _tate(ex2_curve, 5, None, X) == 1
+    assert _tate(ex2_curve, 5, A, None) == 1
+    assert _tate(ex2_curve, 5, None, None) == 1
+
+
+def test_tate_refuses_point_of_own_line(ex2_curve):
+    # f_A has its zeros and poles on <A>: the point-wise reading is
+    # undefined there
+    A = (224, 31)
+    with pytest.raises(ValueError, match="lies in"):
+        _tate(ex2_curve, 5, A, _mul(ex2_curve, 2, A))
+
+
+@pytest.mark.parametrize("ell, primes, counts", [
+    (2, (5, 7, 11, 13, 17, 19, 23, 29), (288, 2580, 857)),
+    (3, (7, 13, 19, 31), (53, 2950, 1758)),
+])
+def test_tate_matches_divisor_definition_exhaustive(ell, primes, counts):
+    # f_A read at the point X against f_A read at (X + R) - (R), on every
+    # ordered pair A != O, X outside <A> of E[ell] for which some affine R
+    # keeps the divisor off <A>
+    curves = pairs = nontrivial = 0
+    for C, torsion in _small_curves(ell, primes):
+        curves += 1
+        offsets = _affine_points(C, C.p + 1)
+        for A, X in itertools.product(torsion, repeat=2):
+            if A is None or X in {_mul(C, k, A) for k in range(1, ell)}:
+                continue
+            ref = _tate_by_divisor(C, ell, A, X, offsets)
+            if ref is not None:
+                assert _tate(C, ell, A, X) == ref
+                pairs += 1
+                nontrivial += ref != 1
+    assert (curves, pairs, nontrivial) == counts
