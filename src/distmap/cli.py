@@ -63,6 +63,8 @@ def parse_point(text: str):
 def _resolve_curve(args):
     """(curve, frob, conductor) from --name, re-reduced when --p names
     another prime, or from --p/--a4/--a6; --conductor overrides."""
+    if args.name and (args.a4 is not None or args.a6 is not None):
+        raise ValueError("give --name or --a4/--a6, not both")
     if args.name:
         entry = catalog_mod.get_entry(args.name)
         if args.p is not None and args.p != entry.p:

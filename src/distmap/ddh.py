@@ -1,31 +1,34 @@
 """Decision Diffie-Hellman on <P> via a distortion map and a pairing.
 
-phi distorts <P> when it moves P out of its own line: e_ell(P, phi(P)) != 1
-for the Weil pairing.  Then for a triple (R, S, T) of points in <P>, the
-check
+phi distorts <P> when it moves P out of its own line: phi(P) not in <P>,
+one lookup in the table of the multiples of P.  Then for a triple
+(R, S, T) of points in <P>, the check
 
     e_ell(R, phi(S)) == e_ell(P, phi(T))
 
 holds exactly when R = aP, S = bP, T = abP.  The reduced Tate pairing t
-is bilinear too, so when t(P, phi(P)) != 1 the same holds for
+is bilinear too, so when t(phi(P), P) != 1 the same holds for
 
-    t(R, phi(S)) == t(P, phi(T)),
+    t(phi(S), R) == t(phi(T), P),
 
 at one Miller loop per side where the Weil pairing takes two.  But
-t(P, phi(P)) can be 1 for a phi that distorts <P>; that phi keeps the Weil
+t(phi(P), P) can be 1 for a phi that distorts <P>; that phi keeps the Weil
 equation.  The verdict and the equation are chosen once per basis and phi.
+
+Each image of phi is a Miller-loop base in either equation, and its loop
+checks that it lies in E[ell]; nothing multiplies an image by ell.
 """
 
 import random
 
 from .curve import Point, PointNotOnCurve, _mul
 from .endo import IncompatibleCurve, RationalEndomorphism
-from .pairing import NotInTorsion, _tate, _tate_unreduced, _weil
+from .pairing import _tate, _tate_unreduced, _weil
 from .torsion import TorsionBasis
 
 
 class NotADistortionMap(ValueError):
-    """phi does not distort <P>: e(P, phi(P)) = 1."""
+    """phi does not distort <P>: phi(P) lies in <P>."""
 
 
 class InstanceInvalid(ValueError):
@@ -58,26 +61,17 @@ def _member(B: TorsionBasis, A: Point) -> Point:
     return V
 
 
-def _image(B: TorsionBasis, phi: RationalEndomorphism, V: Point) -> Point:
-    """phi(V) for a validated V, checked to lie in E[ell] as a pairing
-    argument must."""
-    img = phi.image(V)
-    if _mul(B.curve, B.ell, img) is not None:
-        raise NotInTorsion(f"arguments must lie in E[{B.ell}]")
-    return img
-
-
 def _weil_equation(B: TorsionBasis, R: Point, X: Point, Y: Point) -> bool:
     """e(R, X) == e(P, Y): two Weil pairings, four Miller loops."""
     return _weil(B.curve, B.ell, R, X) == _weil(B.curve, B.ell, B.P, Y)
 
 
 def _tate_equation(B: TorsionBasis, R: Point, X: Point, Y: Point) -> bool:
-    """t(R, X) == t(P, Y), as one ratio raised once: two Miller loops, one
-    inversion and one power."""
+    """t(X, R) == t(Y, P), as one ratio raised once: two Miller loops,
+    based at the images X and Y, one inversion and one power."""
     C, ell, p = B.curve, B.ell, B.curve.p
-    lhs = _tate_unreduced(C, ell, R, X)
-    rhs = _tate_unreduced(C, ell, B.P, Y)
+    lhs = _tate_unreduced(C, ell, X, R)
+    rhs = _tate_unreduced(C, ell, Y, B.P)
     return pow(lhs * pow(rhs, -1, p), (p - 1) // ell, p) == 1
 
 
@@ -88,10 +82,10 @@ def _rule(B: TorsionBasis, phi: RationalEndomorphism):
         if phi.curve != B.curve:
             raise IncompatibleCurve("endomorphism and basis live on different curves")
         C, ell, P = B.curve, B.ell, B.P
-        image = _image(B, phi, P)
-        if _weil(C, ell, P, image).is_trivial():
+        image = phi.image(P)
+        if image in B.p_multiples:
             B.distorts[phi] = None
-        elif _tate(C, ell, P, image) != 1:
+        elif _tate(C, ell, image, P) != 1:
             B.distorts[phi] = _tate_equation
         else:
             B.distorts[phi] = _weil_equation
@@ -108,9 +102,9 @@ def ddh_decide(B: TorsionBasis, phi: RationalEndomorphism, inst: DdhInstance) ->
             f"{phi.label} fixes <P>: e(P, phi(P)) = 1, cannot decide DDH"
         )
     # one validate and one table lookup per member; the canonical points
-    # returned feed phi and the unchecked pairings directly
+    # returned feed phi and the pairings, whose loops check the images
     R, S, T = (_member(B, A) for A in inst.triple)
-    return equation(B, R, _image(B, phi, S), _image(B, phi, T))
+    return equation(B, R, phi.image(S), phi.image(T))
 
 
 def ddh_sample(B: TorsionBasis, honest: bool, seed: int = 0) -> DdhInstance:

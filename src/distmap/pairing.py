@@ -19,6 +19,10 @@ two differ by an ell-th power, which the final power removes.  It is
 bilinear, but unlike the Weil pairing it can be 1 for X outside <A>, e.g.
 when X lies in ell*E(F_p).
 
+Each Miller loop is the E[ell] check of its base; the private pairings
+check nothing else.  `weil_pairing` checks ell*A = O itself, since a
+pairing with O in one slot runs no loop.
+
 The exported convention is pinned by golden values: on the curve
 y^2 = x^3 - 35x + 98 over F_701 the 5-torsion basis point P = (224, 31)
 pairs with its alpha-image (173, 194) to 464.
@@ -84,8 +88,10 @@ def _step(C: Curve, U: Point, V: Point, X: Point) -> tuple:
 
 
 def _miller_at_point(C: Curve, ell: int, A: Point, X: Point) -> int | None:
-    """f_{ell,A}(X) where div(f) = ell(A) - ell(O), for A of order ell and
-    X an affine point, from Miller's normalized lines and verticals.
+    """f_{ell,A}(X) where div(f) = ell(A) - ell(O), for X an affine point,
+    from Miller's normalized lines and verticals.  The walk A, 2A, ... is
+    the E[ell] check of A: NotInTorsion if it meets O before ell*A, or if
+    ell*A != O.
 
     Returns None when a line or vertical of the loop vanishes at X.  Every
     zero of those functions is a multiple of A, so that happens only for
@@ -95,13 +101,15 @@ def _miller_at_point(C: Curve, ell: int, A: Point, X: Point) -> int | None:
     T = A
     num, den = 1, 1
     for bit in bin(ell)[3:]:
-        l, v, T = _step(C, T, T, X)
-        num = num * num % p * l % p
-        den = den * den % p * v % p
-        if bit == "1":
-            l, v, T = _step(C, T, A, X)
-            num = num * l % p
-            den = den * v % p
+        num, den = num * num % p, den * den % p
+        # the doubling of T, then for a 1 bit the addition of A
+        for V in (T, A) if bit == "1" else (T,):
+            if T is None:
+                raise NotInTorsion(f"{A} does not have exact order {ell}")
+            l, v, T = _step(C, T, V, X)
+            num, den = num * l % p, den * v % p
+    if T is not None:
+        raise NotInTorsion(f"{A} does not have exact order {ell}")
     if num == 0 or den == 0:
         return None
     return num * pow(den, -1, p) % p
@@ -122,8 +130,9 @@ def weil_pairing(C: Curve, ell: int, A: Point, B: Point) -> PairingValue:
 
 
 def _weil(C: Curve, ell: int, A: Point, B: Point) -> PairingValue:
-    """weil_pairing for A, B already known to lie in E[ell] on C."""
-    if A is None or B is None or A == B:
+    """weil_pairing without its checks: each Miller loop checks its base,
+    and B in <A> lies in E[ell] when A does; 1 when A or B is O."""
+    if A is None or B is None:
         return PairingValue(C, ell, 1)
     fa = _miller_at_point(C, ell, A, B)
     fb = None if fa is None else _miller_at_point(C, ell, B, A)
@@ -138,12 +147,10 @@ def _weil(C: Curve, ell: int, A: Point, B: Point) -> PairingValue:
 
 
 def _tate_unreduced(C: Curve, ell: int, A: Point, X: Point) -> int:
-    """f_{ell,A}(X), the Tate pairing before its final power, for A, X in
-    E[ell] on C; 1 when A or X is O.
-
-    X must lie outside <A> unless it is O: there some line of the loop
-    vanishes at X, and ValueError is raised.
-    """
+    """f_{ell,A}(X), the Tate pairing before its final power, for A, X on
+    C; 1 when A or X is O.  The Miller loop checks A, but not X, which must
+    lie outside <A> unless it is O: else a line of the loop vanishes at X,
+    and ValueError is raised."""
     if A is None or X is None:
         return 1
     f = _miller_at_point(C, ell, A, X)

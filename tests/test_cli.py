@@ -175,6 +175,26 @@ def test_lone_basis_flag_exit_2(capsys, command, flag):
     _one_error_line(capsys, argv, "give both --A and --B, or neither")
 
 
+@pytest.mark.parametrize("flags", [
+    ["--a4", "1", "--a6", "2"], ["--a4", "1"], ["--b", "2"],
+    ["--p", "701", "--a4", "-35", "--a6", "98"],
+])
+def test_name_with_coefficients_exit_2(capsys, flags):
+    # the catalog entry fixes the coefficients: --a4/--a6 beside --name
+    # would otherwise be ignored without a word
+    argv = ["curve-info", "--name", "ex2-f701"] + flags
+    _one_error_line(capsys, argv, "give --name or --a4/--a6, not both")
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve-info", "--name", "ex2-f701", "--p", "701"],
+    ["curve-info", "--name", "ex2-f701", "--conductor", "1"],
+])
+def test_name_with_prime_or_conductor_allowed(capsys, argv):
+    assert main(argv) == 0
+    assert "p=701\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv, message", [
     (["endo-matrix", "--name", "ex2-f701", "--ell", "5", "--phi", "alpha_701",
       "--A", "O", "--B", "573,450"],

@@ -232,13 +232,14 @@ def test_validate_calls_per_decision_flat_in_ell(
 
 
 def test_distortion_check_paired_once_per_phi(weil_calls, miller_calls, basis5, alpha):
-    # a cold decision adds one Weil check (two Miller loops) and one Tate
-    # check (one loop) to the two loops of the Tate equation
+    # a cold decision adds one Tate check t(phi(P), P) (one Miller loop) to
+    # the two loops of the Tate equation; the verdict phi(P) not in <P> is
+    # a table lookup, with no Weil pairing
     B = _fresh(basis5)
     inst = ddh_sample(B, honest=True, seed=1)
     miller_calls.clear()  # the basis's own e(P, Q)
     ddh_decide(B, alpha, inst)
-    assert (len(weil_calls), len(miller_calls)) == (1, 5)
+    assert (len(weil_calls), len(miller_calls)) == (0, 3)
     for seed in range(4):
         weil_calls.clear()
         miller_calls.clear()
@@ -247,13 +248,13 @@ def test_distortion_check_paired_once_per_phi(weil_calls, miller_calls, basis5, 
     weil_calls.clear()
     miller_calls.clear()
     ddh_decide(B, shifted_endo(alpha, 1), inst)  # a new phi: checked afresh
-    assert (len(weil_calls), len(miller_calls)) == (1, 5)
+    assert (len(weil_calls), len(miller_calls)) == (0, 3)
     assert len(B.distorts) == 2
 
 
 def test_cached_non_distortion_still_raises(weil_calls, miller_calls, basis5, ex2_curve):
-    # one Weil check, which stops after one loop since 2P lies in <P>, and
-    # no Tate check; the second call raises from the cache
+    # 2P lies in <P>: one table lookup, no pairing; the second call raises
+    # from the cache
     B = _fresh(basis5)
     phi = make_catalog_endo("scalar(2)", ex2_curve)
     inst = triple_of(ex2_curve, B.P, 2, 3, 6)
@@ -261,7 +262,7 @@ def test_cached_non_distortion_still_raises(weil_calls, miller_calls, basis5, ex
     for _ in range(2):
         with pytest.raises(NotADistortionMap):
             ddh_decide(B, phi, inst)
-    assert (len(weil_calls), len(miller_calls)) == (1, 1)
+    assert (len(weil_calls), len(miller_calls)) == (0, 0)
 
 
 @pytest.mark.parametrize("case, loops", [
@@ -271,7 +272,7 @@ def test_cached_non_distortion_still_raises(weil_calls, miller_calls, basis5, ex
 ])
 def test_miller_loops_per_warm_decision(miller_calls, basis5, basis31, alpha, case, loops):
     # the Tate equation reads one Miller function per side; the Weil
-    # equation, kept where t(P, phi(P)) = 1, reads two
+    # equation, kept where t(phi(P), P) = 1, reads two
     B, phi = {
         "alpha on ex2": (basis5, alpha),
         "[i] at ell = 31": (basis31, make_catalog_endo("sqrt_minus_one", basis31.curve)),
@@ -307,7 +308,7 @@ def _check_rule(B, phi, rule, triples):
 
 
 def test_tate_rule_against_weil_rule_ex2(basis5, alpha):
-    # all of (Z/5)^3 with alpha + k; k = 2 has t(P, phi(P)) = 1 although
+    # all of (Z/5)^3 with alpha + k; k = 2 has t(phi(P), P) = 1 although
     # phi distorts <P>, so it keeps the Weil equation
     for k in range(5):
         rule = ddh._weil_equation if k == 2 else ddh._tate_equation
@@ -321,8 +322,8 @@ def test_tate_rule_against_weil_rule_ell2(basis2_distorted, alpha):
 
 
 def test_tate_rule_against_weil_rule_ell31(basis31):
-    # [i] takes the Tate equation; [i] + 11 distorts <P> too, but
-    # t(P, phi(P)) = 1 for it
+    # [i] takes the Tate equation; [i] + 20 distorts <P> too, but
+    # t(phi(P), P) = 1 for it
     i = make_catalog_endo("sqrt_minus_one", basis31.curve)
     rng = random.Random(31)
     triples = []
@@ -330,12 +331,12 @@ def test_tate_rule_against_weil_rule_ell31(basis31):
         a, b = rng.randrange(31), rng.randrange(31)
         triples.append((a, b, a * b if rng.random() < 0.5 else rng.randrange(31)))
     for phi, rule in ((i, ddh._tate_equation),
-                      (shifted_endo(i, 11), ddh._weil_equation)):
+                      (shifted_endo(i, 20), ddh._weil_equation)):
         _check_rule(_fresh(basis31), phi, rule, triples)
 
 
 def test_triples_with_s_identity(basis5, alpha, ex2_curve):
-    # b = 0 makes phi(S) = O, so the left side is t(R, O) = 1 (e(R, O) = 1
+    # b = 0 makes phi(S) = O, so the left side is t(O, R) = 1 (e(R, O) = 1
     # under the Weil rule): the triple holds exactly when T = O
     for phi in (alpha, shifted_endo(alpha, 2)):
         B = _fresh(basis5)
@@ -357,18 +358,45 @@ def test_map_into_p_refused_by_tate_rule(basis5, alpha, ex2_curve):
         ddh_decide(_fresh(basis5), fake, inst)
 
 
-def test_image_outside_torsion_raises_not_torsion(basis5, alpha, ex2_curve):
+def _order7_image_raises(basis5, base, rule):
     # a map that sends S to a point of order 7 is no endomorphism, but the
-    # pairing's E[ell] check still catches it
-    S = scalar_mul(ex2_curve, 3, basis5.P)
+    # Miller loop based at that image catches it
+    C = basis5.curve
+    S = scalar_mul(C, 3, basis5.P)
     order7 = (693, 229)
     fake = RationalEndomorphism(
-        ex2_curve, "fake", trace=alpha.trace, norm=alpha.norm,
-        image=lambda A: order7 if A == S else alpha.image(A),
+        C, "fake", trace=base.trace, norm=base.norm,
+        image=lambda A: order7 if A == S else base.image(A),
     )
-    inst = triple_of(ex2_curve, basis5.P, 2, 3, 6)
-    with pytest.raises(NotInTorsion):
-        ddh_decide(_fresh(basis5), fake, inst)
+    B = _fresh(basis5)
+    inst = triple_of(C, B.P, 2, 3, 6)
+    with pytest.raises(NotInTorsion, match="does not have exact order 5"):
+        ddh_decide(B, fake, inst)
+    assert B.distorts[fake] is rule
+
+
+def test_image_outside_torsion_raises_not_torsion(basis5, alpha):
+    _order7_image_raises(basis5, alpha, ddh._tate_equation)
+
+
+def test_image_outside_torsion_raises_under_weil_rule(basis5, alpha):
+    _order7_image_raises(basis5, shifted_endo(alpha, 2), ddh._weil_equation)
+
+
+def test_table_verdict_matches_weil_test(basis5, basis31, alpha, ex2_curve):
+    # the verdict phi(P) not in <P> is one lookup in the table of the
+    # multiples of P; the Weil test e(P, phi(P)) != 1 is its oracle
+    i = make_catalog_endo("sqrt_minus_one", basis31.curve)
+    cases = [(basis5, shifted_endo(alpha, k)) for k in range(5)]
+    cases += [(basis5, make_catalog_endo(f"scalar({k})", ex2_curve)) for k in range(5)]
+    cases += [(basis31, shifted_endo(i, k)) for k in range(31)]
+    verdicts = []
+    for B, phi in cases:
+        B = _fresh(B)
+        distorts = not weil_pairing(B.curve, B.ell, B.P, phi.image(B.P)).is_trivial()
+        assert (ddh._rule(B, phi) is not None) == distorts, phi.label
+        verdicts.append(distorts)
+    assert verdicts.count(False) == 5 and verdicts.count(True) == 36
 
 
 def test_map_on_another_curve_rejected(basis5, ex2_curve):
@@ -400,23 +428,14 @@ def add_calls(monkeypatch):
     return calls
 
 
-def test_warm_decision_adds_only_image_checks(add_calls, basis5, alpha, basis31):
-    # R, S and T of <P> are one table lookup each, so the only point
-    # additions left are the two ell*phi(X) = O checks on the images
+def test_warm_decision_adds_no_point(add_calls, basis5, alpha, basis31):
+    # R, S and T of <P> are one table lookup each, and the images of phi
+    # are checked by the Miller loops they base: no point addition at all
     phi31 = make_catalog_endo("sqrt_minus_one", basis31.curve)
-    per_decision = {}
     for B, phi in ((basis5, alpha), (basis31, phi31)):
         insts = [ddh_sample(B, honest=s % 2 == 0, seed=s) for s in range(6)]
         ddh_decide(B, phi, insts[0])  # warm: tables and caches filled
         add_calls.clear()
-        curve._mul(B.curve, B.ell, B.P)
-        image_check = len(add_calls)
-        counts = set()
         for inst in insts:
-            add_calls.clear()
             ddh_decide(B, phi, inst)
-            counts.add(len(add_calls))
-        per_decision[B.ell] = (counts, image_check)
-    assert per_decision[5] == ({8}, 4)
-    counts31, image_check31 = per_decision[31]
-    assert max(counts31) <= 2 * image_check31
+        assert add_calls == [], B.ell

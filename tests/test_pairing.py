@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -93,6 +94,30 @@ def test_not_torsion_rejected(ex2_curve):
 
 def test_identity_argument(ex2_curve):
     assert weil_pairing(ex2_curve, 5, None, (224, 31)).value == 1
+
+
+@pytest.mark.parametrize("A", [(319, 0), (693, 229)])
+def test_miller_loop_checks_its_base(ex2_curve, A):
+    # (319, 0) has order 2: the walk meets O at its first doubling, where
+    # a loop without the check would step from O.  (693, 229) has order 7:
+    # the walk ends at 5A != O, where the value read would be wrong
+    C, X = ex2_curve, (573, 450)
+    message = re.escape(f"{A} does not have exact order 5")
+    for pair in (lambda: _miller_at_point(C, 5, A, X),
+                 lambda: _weil(C, 5, A, X),
+                 lambda: _weil(C, 5, X, A),
+                 lambda: _tate(C, 5, A, X)):
+        with pytest.raises(NotInTorsion, match=message):
+            pair()
+
+
+def test_public_pairing_checks_argument_beside_identity(ex2_curve):
+    # with O in one slot no Miller loop runs, so weil_pairing checks
+    # ell*A = O itself
+    with pytest.raises(NotInTorsion):
+        weil_pairing(ex2_curve, 5, None, (693, 229))
+    with pytest.raises(NotInTorsion):
+        weil_pairing(ex2_curve, 5, (693, 229), None)
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5])

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -83,6 +84,15 @@ def test_dependent_pair_rejected(ex2_curve, ex2_frob):
         TorsionBasis(ctx, P, scalar_mul(ex2_curve, 2, P))
 
 
+@pytest.mark.parametrize("A", [(319, 0), (693, 229)])  # orders 2 and 7
+def test_basis_point_outside_torsion_rejected(ex2_curve, ex2_frob, A):
+    ctx = TorsionContext(5, ex2_curve, ex2_frob)
+    message = re.escape(f"{A} does not have exact order 5")
+    for P, Q in ((A, (573, 450)), ((224, 31), A)):
+        with pytest.raises(NotInTorsion, match=message):
+            TorsionBasis(ctx, P, Q)
+
+
 def test_find_basis_deterministic(ex2_curve, ex2_frob):
     ctx = TorsionContext(5, ex2_curve, ex2_frob)
     B1 = find_torsion_basis(ctx, seed=7)
@@ -129,7 +139,7 @@ def test_dlog_round_trip_ell31(basis31, a, b):
 def test_dlog_rejects_non_torsion(basis5, ex2_curve):
     # a point of order 7 on the F_701 curve (700 = 4 * 25 * 7)
     A = scalar_mul(ex2_curve, 100, ex2_curve.lift_x(2))
-    with pytest.raises(NotInTorsion):
+    with pytest.raises(NotInTorsion, match="is not killed by 5"):
         dlog2d(basis5, A)
 
 
@@ -159,6 +169,8 @@ def test_dlog_point_add_counts(torsion_calls, monkeypatch, fresh_basis, ell):
     table = B.p_multiples
     assert torsion_calls["point_add"] == ell - 1
     assert table == {scalar_mul(B.curve, a, B.P): a for a in range(ell)}
+    points = {(a, b): B.combine(a, b)
+              for a, b in itertools.product(range(ell), repeat=2)}
     muls = []
 
     def counted_mul(C, k, A):
@@ -166,16 +178,15 @@ def test_dlog_point_add_counts(torsion_calls, monkeypatch, fresh_basis, ell):
         return _mul(C, k, A)
 
     monkeypatch.setattr(torsion, "_mul", counted_mul)
-    for a, b in itertools.product(range(ell), repeat=2):
-        R = B.combine(a, b)
-        before, muls_before = torsion_calls["point_add"], len(muls)
+    for (a, b), R in points.items():
+        before = torsion_calls["point_add"]
         assert dlog2d(B, R) == (a, b)
-        if b == 0:
-            # a point of <P>: one lookup, no addition, no ell*R check
-            assert torsion_calls["point_add"] == before
-            assert len(muls) == muls_before
-        else:
-            assert torsion_calls["point_add"] - before <= ell
+        # a point of <P> is one lookup; any other takes b steps of the walk
+        assert torsion_calls["point_add"] - before == b
+    # neither the basis nor the walk multiplies a point by ell: the
+    # pairing's Miller loops and the walk itself are the E[ell] checks
+    TorsionBasis(B.ctx, B.P, B.Q)
+    assert muls == []
 
 
 def test_find_basis_one_pairing_per_candidate(
