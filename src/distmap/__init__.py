@@ -1,6 +1,6 @@
 """Distortion maps on ordinary elliptic curves with rational ell-torsion.
 
-Library + CLI: Weil-pairing DDH on <P>, endomorphism action on E[ell],
+Library + CLI: pairing DDH on <P>, endomorphism action on E[ell],
 and the order-theoretic classification of distortion-map existence.
 """
 

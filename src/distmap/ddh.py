@@ -7,28 +7,37 @@ one lookup in the table of the multiples of P.  Then for a triple
     e_ell(R, phi(S)) == e_ell(P, phi(T))
 
 holds exactly when R = aP, S = bP, T = abP.  The reduced Tate pairing t
-is bilinear too, so when t(phi(P), P) != 1 the same holds for
+is bilinear too, so when t(P, phi(P)) != 1 the same holds for
 
-    t(phi(S), R) == t(phi(T), P),
+    t(R, phi(S)) == t(P, phi(T)).
 
-at one Miller loop per side where the Weil pairing takes two.  But
-t(phi(P), P) can be 1 for a phi that distorts <P>; that phi keeps the Weil
-equation.  The verdict and the equation are chosen once per basis and phi.
+P is the same for the life of a basis, so its Miller walk is recorded
+once (TorsionBasis.p_walk) and f_P is read at phi(T) with products only:
+the Tate equation takes one walk, at R.  But t(P, phi(P)) can be 1 for a
+phi that distorts <P>; that phi keeps the Weil equation, three walks, P's
+recorded one read at phi(T).  The verdict and the equation are chosen once
+per basis and phi.
 
-Each image of phi is a Miller-loop base in either equation, and its loop
-checks that it lies in E[ell]; nothing multiplies an image by ell.
+The images of phi are read, not walked, so each is checked against the
+table of the multiples of phi(P), built once per basis and phi: phi(bP)
+must be b*phi(P).  An image outside the table is walked, which raises
+NotInTorsion outside E[ell]; any other mismatch raises NotAHomomorphism.
 """
 
 import random
 
 from .curve import Point, PointNotOnCurve, _mul
 from .endo import IncompatibleCurve, RationalEndomorphism
-from .pairing import _tate, _tate_unreduced, _weil
-from .torsion import TorsionBasis
+from .pairing import _read, _tate, _walk, _weil
+from .torsion import TorsionBasis, _multiples
 
 
 class NotADistortionMap(ValueError):
     """phi does not distort <P>: phi(P) lies in <P>."""
+
+
+class NotAHomomorphism(ValueError):
+    """phi sends a point b*P of <P> to a point other than b*phi(P)."""
 
 
 class InstanceInvalid(ValueError):
@@ -61,23 +70,45 @@ def _member(B: TorsionBasis, A: Point) -> Point:
     return V
 
 
+def _image(B: TorsionBasis, phi: RationalEndomorphism, S: Point) -> Point:
+    """phi(S) for S = b*P, checked to be b*phi(P) by one lookup in the
+    table of the multiples of phi(P).  An image outside that table is
+    walked: NotInTorsion if it lies outside E[ell], else NotAHomomorphism,
+    as for an image in the table at the wrong index."""
+    X = phi.image(S)
+    b = B.p_multiples[S]
+    k = B.phi_multiples[phi].get(X)
+    if k != b:
+        if k is None:
+            _walk(B.curve, B.ell, X)
+        raise NotAHomomorphism(f"{phi.label} sends {S} = {b}P to {X}, not to {b}*phi(P)")
+    return X
+
+
 def _weil_equation(B: TorsionBasis, R: Point, X: Point, Y: Point) -> bool:
-    """e(R, X) == e(P, Y): two Weil pairings, four Miller loops."""
-    return _weil(B.curve, B.ell, R, X) == _weil(B.curve, B.ell, B.P, Y)
+    """e(R, X) == e(P, Y): two Weil pairings, three walks, as P's recorded
+    walk is read at Y."""
+    C, ell = B.curve, B.ell
+    return _weil(C, ell, R, X) == _weil(C, ell, B.P, Y, B.p_walk)
 
 
 def _tate_equation(B: TorsionBasis, R: Point, X: Point, Y: Point) -> bool:
-    """t(X, R) == t(Y, P), as one ratio raised once: two Miller loops,
-    based at the images X and Y, one inversion and one power."""
+    """t(R, X) == t(P, Y), as one ratio raised once: one walk, at R, read
+    at X, P's recorded walk read at Y, one inversion and one power.
+
+    X and Y lie in <phi(P)>, which meets <P> in O only, so neither read
+    meets a vanishing line."""
     C, ell, p = B.curve, B.ell, B.curve.p
-    lhs = _tate_unreduced(C, ell, X, R)
-    rhs = _tate_unreduced(C, ell, Y, B.P)
-    return pow(lhs * pow(rhs, -1, p), (p - 1) // ell, p) == 1
+    lnum, lden = (1, 1) if R is None or X is None else _read(C, _walk(C, ell, R), X)
+    rnum, rden = (1, 1) if Y is None else _read(C, B.p_walk, Y)
+    ratio = lnum * rden * pow(lden * rnum, -1, p)
+    return pow(ratio, (p - 1) // ell, p) == 1
 
 
 def _rule(B: TorsionBasis, phi: RationalEndomorphism):
     """The equation that decides DDH on <P> with phi, or None when phi does
-    not distort <P>; chosen once per basis and phi, kept on the basis."""
+    not distort <P>; chosen once per basis and phi and kept on the basis,
+    with the table of the multiples of phi(P) that checks phi's images."""
     if phi not in B.distorts:
         if phi.curve != B.curve:
             raise IncompatibleCurve("endomorphism and basis live on different curves")
@@ -85,10 +116,13 @@ def _rule(B: TorsionBasis, phi: RationalEndomorphism):
         image = phi.image(P)
         if image in B.p_multiples:
             B.distorts[phi] = None
-        elif _tate(C, ell, image, P) != 1:
-            B.distorts[phi] = _tate_equation
         else:
-            B.distorts[phi] = _weil_equation
+            _walk(C, ell, image)  # the E[ell] check of phi(P)
+            B.phi_multiples[phi] = _multiples(C, ell, image)
+            if _tate(C, ell, P, image, B.p_walk) != 1:
+                B.distorts[phi] = _tate_equation
+            else:
+                B.distorts[phi] = _weil_equation
     return B.distorts[phi]
 
 
@@ -99,12 +133,12 @@ def ddh_decide(B: TorsionBasis, phi: RationalEndomorphism, inst: DdhInstance) ->
     equation = _rule(B, phi)
     if equation is None:
         raise NotADistortionMap(
-            f"{phi.label} fixes <P>: e(P, phi(P)) = 1, cannot decide DDH"
+            f"{phi.label} does not distort <P>: phi(P) lies in <P>, cannot decide DDH"
         )
     # one validate and one table lookup per member; the canonical points
-    # returned feed phi and the pairings, whose loops check the images
+    # returned feed phi, whose images are checked by one more lookup each
     R, S, T = (_member(B, A) for A in inst.triple)
-    return equation(B, R, phi.image(S), phi.image(T))
+    return equation(B, R, _image(B, phi, S), _image(B, phi, T))
 
 
 def ddh_sample(B: TorsionBasis, honest: bool, seed: int = 0) -> DdhInstance:

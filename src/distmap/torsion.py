@@ -3,7 +3,7 @@
 Requires the fully rational case E[ell] <= E(F_p), which forces
 t = 2 mod ell and q = 1 mod ell.
 
-ell*X = O is never computed: the Miller loops of e(P, Q) check a basis,
+ell*X = O is never computed: the Miller walks of e(P, Q) check a basis,
 and the walk of dlog2d checks the point it places.
 """
 
@@ -20,7 +20,7 @@ from .curve import (
     point_neg,
 )
 from .field import check_ell
-from .pairing import NotInTorsion, _weil
+from .pairing import NotInTorsion, _walk, _weil
 
 
 class TorsionNotRational(ValueError):
@@ -63,30 +63,28 @@ class TorsionBasis:
         P, Q = C.validate(P), C.validate(Q)
         if P is None or Q is None:
             raise NotInTorsion(f"O does not have exact order {ell}")
-        e = _weil(C, ell, P, Q)
-        if e.is_trivial():
+        # P's Miller walk, kept for the life of the basis: f_P then reads
+        # at any point with products only
+        walk = _walk(C, ell, P)
+        if _weil(C, ell, P, Q, walk) == 1:
             raise NotInTorsion("pairing e(P, Q) = 1: Q lies in <P>, not a basis")
         self.ctx = ctx
         self.curve = C
         self.ell = ell
         self.P = P
         self.Q = Q
-        self.pairing_pq = e
+        self.p_walk = walk
         # phi -> the equation that decides DDH on <P> with phi (None when
-        # phi does not distort <P>), filled in by ddh.ddh_decide
+        # phi does not distort <P>), and phi -> the multiples of phi(P),
+        # both filled in by ddh.ddh_decide
         self.distorts = {}
+        self.phi_multiples = {}
 
     @cached_property
     def p_multiples(self) -> dict:
         """Table {a*P: a for a in 0 .. ell-1}, built on first use with
         ell - 1 point additions and kept for the life of the basis."""
-        C = self.curve
-        table = {None: 0}
-        T: Point = None
-        for a in range(1, self.ell):
-            T = _add(C, T, self.P)
-            table[T] = a
-        return table
+        return _multiples(self.curve, self.ell, self.P)
 
     def combine(self, a: int, b: int) -> Point:
         """a*P + b*Q."""
@@ -95,6 +93,16 @@ class TorsionBasis:
 
     def __repr__(self):
         return f"TorsionBasis(ell={self.ell}, P={self.P}, Q={self.Q})"
+
+
+def _multiples(C: Curve, ell: int, A: Point) -> dict:
+    """Table {a*A: a for a in 0 .. ell-1}, by ell - 1 point additions."""
+    table = {None: 0}
+    T: Point = None
+    for a in range(1, ell):
+        T = _add(C, T, A)
+        table[T] = a
+    return table
 
 
 def _random_ell_torsion_point(ctx: TorsionContext, rng: random.Random) -> Point:

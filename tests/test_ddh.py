@@ -1,14 +1,16 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from distmap import curve, ddh, endo, pairing, torsion
-from distmap.curve import Curve, scalar_mul
+from distmap.curve import Curve, point_add, scalar_mul
 from distmap.ddh import (
     DdhInstance,
     InstanceInvalid,
     NotADistortionMap,
+    NotAHomomorphism,
     ddh_decide,
     ddh_sample,
 )
@@ -208,8 +210,22 @@ def weil_calls(monkeypatch):
 
 @pytest.fixture()
 def miller_calls(monkeypatch):
-    # every Miller loop, of a Weil or a Tate pairing alike
-    return _counted(monkeypatch, pairing, "_miller_at_point")
+    """Every Miller walk and every reading of one, of a Weil or a Tate
+    pairing alike, under each name the library imports them by."""
+    calls = {}
+    for name in ("_walk", "_read"):
+        calls[name] = _counted(monkeypatch, pairing, name)
+        monkeypatch.setattr(ddh, name, getattr(pairing, name))
+    monkeypatch.setattr(torsion, "_walk", pairing._walk)
+    return calls
+
+
+def _walks_reads(calls):
+    """(walks, reads) since the counts were last cleared, then clears them."""
+    counts = (len(calls["_walk"]), len(calls["_read"]))
+    for c in calls.values():
+        c.clear()
+    return counts
 
 
 def test_validate_calls_per_decision_flat_in_ell(
@@ -232,24 +248,24 @@ def test_validate_calls_per_decision_flat_in_ell(
 
 
 def test_distortion_check_paired_once_per_phi(weil_calls, miller_calls, basis5, alpha):
-    # a cold decision adds one Tate check t(phi(P), P) (one Miller loop) to
-    # the two loops of the Tate equation; the verdict phi(P) not in <P> is
-    # a table lookup, with no Weil pairing
+    # the verdict phi(P) not in <P> is a table lookup, with no Weil
+    # pairing; a cold decision then walks phi(P) once for its E[ell] check
+    # and reads P's walk, recorded by the basis, at phi(P) for the Tate
+    # check t(P, phi(P)), before the one walk and two reads of the Tate
+    # equation
     B = _fresh(basis5)
     inst = ddh_sample(B, honest=True, seed=1)
-    miller_calls.clear()  # the basis's own e(P, Q)
+    _walks_reads(miller_calls)  # the basis's own e(P, Q)
     ddh_decide(B, alpha, inst)
-    assert (len(weil_calls), len(miller_calls)) == (0, 3)
+    assert (len(weil_calls), *_walks_reads(miller_calls)) == (0, 2, 3)
     for seed in range(4):
         weil_calls.clear()
-        miller_calls.clear()
         ddh_decide(B, alpha, ddh_sample(B, honest=seed % 2 == 0, seed=seed))
-        assert (len(weil_calls), len(miller_calls)) == (0, 2)
+        assert (len(weil_calls), *_walks_reads(miller_calls)) == (0, 1, 2)
     weil_calls.clear()
-    miller_calls.clear()
     ddh_decide(B, shifted_endo(alpha, 1), inst)  # a new phi: checked afresh
-    assert (len(weil_calls), len(miller_calls)) == (0, 3)
-    assert len(B.distorts) == 2
+    assert (len(weil_calls), *_walks_reads(miller_calls)) == (0, 2, 3)
+    assert len(B.distorts) == len(B.phi_multiples) == 2
 
 
 def test_cached_non_distortion_still_raises(weil_calls, miller_calls, basis5, ex2_curve):
@@ -258,21 +274,23 @@ def test_cached_non_distortion_still_raises(weil_calls, miller_calls, basis5, ex
     B = _fresh(basis5)
     phi = make_catalog_endo("scalar(2)", ex2_curve)
     inst = triple_of(ex2_curve, B.P, 2, 3, 6)
-    miller_calls.clear()  # the basis's own e(P, Q)
+    _walks_reads(miller_calls)  # the basis's own e(P, Q)
     for _ in range(2):
-        with pytest.raises(NotADistortionMap):
+        with pytest.raises(NotADistortionMap, match=r"phi\(P\) lies in <P>"):
             ddh_decide(B, phi, inst)
-    assert (len(weil_calls), len(miller_calls)) == (0, 0)
+    assert (len(weil_calls), *_walks_reads(miller_calls)) == (0, 0, 0)
+    assert B.phi_multiples == {}
 
 
-@pytest.mark.parametrize("case, loops", [
+@pytest.mark.parametrize("case, reads", [
     ("alpha on ex2", 2),
     ("[i] at ell = 31", 2),
     ("alpha + scalar(2) on ex2", 4),
 ])
-def test_miller_loops_per_warm_decision(miller_calls, basis5, basis31, alpha, case, loops):
+def test_miller_loops_per_warm_decision(miller_calls, basis5, basis31, alpha, case, reads):
     # the Tate equation reads one Miller function per side; the Weil
-    # equation, kept where t(phi(P), P) = 1, reads two
+    # equation, kept where t(P, phi(P)) = 1, reads two.  Every read but
+    # one is of a fresh walk: f_P(phi(T)) reads P's recorded walk
     B, phi = {
         "alpha on ex2": (basis5, alpha),
         "[i] at ell = 31": (basis31, make_catalog_endo("sqrt_minus_one", basis31.curve)),
@@ -284,10 +302,10 @@ def test_miller_loops_per_warm_decision(miller_calls, basis5, basis31, alpha, ca
     ddh_decide(B, phi, insts[0])  # warm: tables and caches filled
     counts = set()
     for inst in insts:
-        miller_calls.clear()
+        _walks_reads(miller_calls)
         ddh_decide(B, phi, inst)
-        counts.add(len(miller_calls))
-    assert counts == {loops}
+        counts.add(_walks_reads(miller_calls))
+    assert counts == {(reads - 1, reads)}
 
 
 def _check_rule(B, phi, rule, triples):
@@ -322,8 +340,9 @@ def test_tate_rule_against_weil_rule_ell2(basis2_distorted, alpha):
 
 
 def test_tate_rule_against_weil_rule_ell31(basis31):
-    # [i] takes the Tate equation; [i] + 20 distorts <P> too, but
-    # t(phi(P), P) = 1 for it
+    # [i] takes the Tate equation; [i] + 11 distorts <P> too, but
+    # t(P, phi(P)) = 1 for it.  [i] + 20 has t(phi(P), P) = 1 instead, and
+    # the Tate pairing is not symmetric: it takes the Tate equation
     i = make_catalog_endo("sqrt_minus_one", basis31.curve)
     rng = random.Random(31)
     triples = []
@@ -331,7 +350,8 @@ def test_tate_rule_against_weil_rule_ell31(basis31):
         a, b = rng.randrange(31), rng.randrange(31)
         triples.append((a, b, a * b if rng.random() < 0.5 else rng.randrange(31)))
     for phi, rule in ((i, ddh._tate_equation),
-                      (shifted_endo(i, 20), ddh._weil_equation)):
+                      (shifted_endo(i, 11), ddh._weil_equation),
+                      (shifted_endo(i, 20), ddh._tate_equation)):
         _check_rule(_fresh(basis31), phi, rule, triples)
 
 
@@ -347,20 +367,21 @@ def test_triples_with_s_identity(basis5, alpha, ex2_curve):
 
 def test_map_into_p_refused_by_tate_rule(basis5, alpha, ex2_curve):
     # no endomorphism that distorts <P> sends a point of <P> other than O
-    # back into <P>; a map that does cannot be read by the Tate equation
+    # back into <P>; a map that does sends it outside <phi(P)>, where the
+    # check of its images refuses it before any pairing reads it
     S = scalar_mul(ex2_curve, 3, basis5.P)
     fake = RationalEndomorphism(
         ex2_curve, "fake", trace=alpha.trace, norm=alpha.norm,
         image=lambda A: S if A == S else alpha.image(A),
     )
     inst = triple_of(ex2_curve, basis5.P, 2, 3, 6)
-    with pytest.raises(ValueError, match="lies in"):
+    with pytest.raises(NotAHomomorphism, match=re.escape(f"sends {S} = 3P to {S}")):
         ddh_decide(_fresh(basis5), fake, inst)
 
 
 def _order7_image_raises(basis5, base, rule):
-    # a map that sends S to a point of order 7 is no endomorphism, but the
-    # Miller loop based at that image catches it
+    # a map that sends S to a point of order 7 is no endomorphism: the
+    # image misses the table of <phi(P)>, and its walk catches it
     C = basis5.curve
     S = scalar_mul(C, 3, basis5.P)
     order7 = (693, 229)
@@ -381,6 +402,35 @@ def test_image_outside_torsion_raises_not_torsion(basis5, alpha):
 
 def test_image_outside_torsion_raises_under_weil_rule(basis5, alpha):
     _order7_image_raises(basis5, shifted_endo(alpha, 2), ddh._weil_equation)
+
+
+@pytest.mark.parametrize("shift", ["Q", "P"])
+def test_image_in_torsion_off_its_multiple_raises(basis5, alpha, ex2_curve, shift):
+    # a map equal to alpha except 3P -> alpha(3P) + Q (or + P) keeps its
+    # images in E[5], so no walk can refuse them.  alpha(P) = 2Q, so with
+    # + Q the image 2Q stays in <phi(P)> = <Q> but is 1*phi(P), not
+    # 3*phi(P); with + P it leaves <phi(P)>.  Unchecked, such a map decides
+    # some triples wrongly without an error
+    C, B = ex2_curve, _fresh(basis5)
+    P, Q = B.P, B.Q
+    S3 = scalar_mul(C, 3, P)
+    moved = point_add(C, alpha.image(S3), Q if shift == "Q" else P)
+    assert scalar_mul(C, 5, moved) is None
+    fake = RationalEndomorphism(
+        C, "fake", trace=alpha.trace, norm=alpha.norm,
+        image=lambda A: moved if A == S3 else alpha.image(A),
+    )
+    refused = 0
+    for a, b, c in itertools.product(range(5), repeat=3):
+        inst = triple_of(C, P, a, b, c)
+        if 3 in (b, c):
+            with pytest.raises(NotAHomomorphism, match=re.escape(f"to {moved}, not to 3*phi(P)")):
+                ddh_decide(B, fake, inst)
+            refused += 1
+        else:
+            assert ddh_decide(B, fake, inst) == (a * b % 5 == c)
+    assert refused == 45
+    assert B.distorts[fake] is ddh._tate_equation
 
 
 def test_table_verdict_matches_weil_test(basis5, basis31, alpha, ex2_curve):
@@ -429,8 +479,8 @@ def add_calls(monkeypatch):
 
 
 def test_warm_decision_adds_no_point(add_calls, basis5, alpha, basis31):
-    # R, S and T of <P> are one table lookup each, and the images of phi
-    # are checked by the Miller loops they base: no point addition at all
+    # R, S and T of <P> are one table lookup each, and so is each image of
+    # phi in the table of <phi(P)>: no point addition at all
     phi31 = make_catalog_endo("sqrt_minus_one", basis31.curve)
     for B, phi in ((basis5, alpha), (basis31, phi31)):
         insts = [ddh_sample(B, honest=s % 2 == 0, seed=s) for s in range(6)]

@@ -18,11 +18,22 @@ from distmap.field import PrimeField
 from distmap.pairing import (
     NotInTorsion,
     PairingValue,
-    _miller_at_point,
+    _read,
     _tate,
+    _walk,
     _weil,
     weil_pairing,
 )
+
+
+def _value(C, f):
+    """The fraction (num, den) that _read returns, as one field element."""
+    return None if f is None else f[0] * pow(f[1], -1, C.p) % C.p
+
+
+def _miller(C, ell, A, X):
+    """f_{ell,A}(X): A walked, then read at X."""
+    return _value(C, _read(C, _walk(C, ell, A), X))
 
 
 def torsion_points(C, B, ell):
@@ -46,15 +57,15 @@ def test_miller_order2_nonzero(ex2_curve):
     # shortest loop: the Miller function of a 2-torsion point is the
     # vertical line through it
     A = (319, 0)
-    assert _miller_at_point(ex2_curve, 2, A, (224, 31)) == (224 - 319) % 701
-    assert _miller_at_point(ex2_curve, 2, A, (573, 450)) == 573 - 319
+    assert _miller(ex2_curve, 2, A, (224, 31)) == (224 - 319) % 701
+    assert _miller(ex2_curve, 2, A, (573, 450)) == 573 - 319
 
 
 def test_miller_collision(ex2_curve):
-    # the loop's last vertical passes through A itself
+    # the walk's last vertical passes through A itself
     A = (224, 31)
-    assert _miller_at_point(ex2_curve, 5, A, A) is None
-    assert _miller_at_point(ex2_curve, 5, A, (573, 450)) is not None
+    assert _miller(ex2_curve, 5, A, A) is None
+    assert _miller(ex2_curve, 5, A, (573, 450)) is not None
 
 
 def test_fifth_root_of_unity(basis5, ex2_curve):
@@ -99,11 +110,11 @@ def test_identity_argument(ex2_curve):
 @pytest.mark.parametrize("A", [(319, 0), (693, 229)])
 def test_miller_loop_checks_its_base(ex2_curve, A):
     # (319, 0) has order 2: the walk meets O at its first doubling, where
-    # a loop without the check would step from O.  (693, 229) has order 7:
+    # a walk without the check would step from O.  (693, 229) has order 7:
     # the walk ends at 5A != O, where the value read would be wrong
     C, X = ex2_curve, (573, 450)
     message = re.escape(f"{A} does not have exact order 5")
-    for pair in (lambda: _miller_at_point(C, 5, A, X),
+    for pair in (lambda: _walk(C, 5, A),
                  lambda: _weil(C, 5, A, X),
                  lambda: _weil(C, 5, X, A),
                  lambda: _tate(C, 5, A, X)):
@@ -250,17 +261,46 @@ def test_fused_miller_step_matches_two_pass(ex2_curve):
         for ell in (2, 5)
     }
     assert (len(torsion[2]), len(torsion[5])) == (4, 25)
-    # Miller's loop takes A of exact order ell (torsion[ell][0] is O)
+    # Miller's walk takes A of exact order ell (torsion[ell][0] is O); one
+    # walk per base is read at every point, so every ordered pair of base
+    # and point of E[5] is compared
     loops = [(ell, A) for ell in (2, 5) for A in torsion[ell][1:]]
     X_set = points[1:41] + [A for _, A in loops]  # affine evaluation points only
     evaluations = collisions = 0
-    for (ell, A), X in itertools.product(loops, X_set):
-        got = _miller_at_point(C, ell, A, X)
-        assert got == _miller_ref(C, ell, A, X)
-        evaluations += 1
-        collisions += got is None
+    for ell, A in loops:
+        walk = _walk(C, ell, A)
+        for X in X_set:
+            got = _value(C, _read(C, walk, X))
+            assert got == _miller_ref(C, ell, A, X)
+            evaluations += 1
+            collisions += got is None
     assert evaluations == (3 + 24) * 67
     assert 0 < collisions < evaluations
+
+
+def test_read_matches_two_pass_ell31(basis31):
+    # sampled bases of E[31], each walked once and read at sampled points
+    # of E[31], at one multiple of the base and at 20 points outside E[31],
+    # against the two-pass loop
+    B, C = basis31, basis31.curve
+    rng = random.Random(131)
+    outside = _affine_points(C, 20)
+    evaluations = collisions = 0
+    for _ in range(20):
+        A = B.combine(rng.randrange(31), rng.randrange(1, 31))
+        walk = _walk(C, 31, A)
+        X_set = [B.combine(rng.randrange(31), rng.randrange(31)) for _ in range(20)]
+        X_set += [_mul(C, rng.randrange(1, 31), A)] + outside
+        for X in X_set:
+            if X is None:
+                continue
+            got = _value(C, _read(C, walk, X))
+            assert got == _miller_ref(C, 31, A, X)
+            evaluations += 1
+            collisions += got is None
+    # 20 bases at 41 points less the O among them; a read at a multiple
+    # of A vanishes only where the walk's lines do
+    assert (evaluations, collisions) == (819, 15)
 
 
 def test_weil_matches_two_pass_ell31(basis31):
@@ -281,22 +321,37 @@ def test_public_pairing_entries_validate(ex2_curve):
         weil_pairing(ex2_curve, 5, P, (319, 0))
 
 
+def _counted(monkeypatch, name):
+    """The argument tuples of every call to pairing.name from now on."""
+    calls = []
+    f = getattr(pairing, name)
+
+    def counted(*args):
+        calls.append(args)
+        return f(*args)
+
+    monkeypatch.setattr(pairing, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("ell", [2, 5, 31])
 def test_two_miller_loops_per_pairing(monkeypatch, ell, basis5, basis31):
+    # one walk per argument, each read once at the other argument; a walk
+    # handed in is read, not walked again
     if ell == 2:
         C, A, B = basis5.curve, (319, 0), (389, 0)
     else:
         basis = basis5 if ell == 5 else basis31
         C, A, B = basis.curve, basis.P, basis.Q
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _miller_at_point(*args)
-
-    monkeypatch.setattr(pairing, "_miller_at_point", counted)
-    assert _weil(C, ell, A, B).value != 1
-    assert len(calls) == 2
+    walks, reads = _counted(monkeypatch, "_walk"), _counted(monkeypatch, "_read")
+    e = _weil(C, ell, A, B)
+    assert e != 1
+    assert (len(walks), len(reads)) == (2, 2)
+    walk = _walk(C, ell, A)
+    walks.clear()
+    reads.clear()
+    assert _weil(C, ell, A, B, walk) == e
+    assert (len(walks), len(reads)) == (1, 2)
 
 
 def _small_curves(ell, primes):
@@ -331,7 +386,7 @@ def test_weil_matches_offset_pairing_exhaustive(ell, primes, n_curves):
     for C, torsion in _small_curves(ell, primes):
         curves += 1
         for A, B in itertools.product(torsion, repeat=2):
-            assert _weil(C, ell, A, B).value == _weil_ref(C, ell, A, B)
+            assert _weil(C, ell, A, B) == _weil_ref(C, ell, A, B)
             pairs += 1
     assert (curves, pairs) == (n_curves, n_curves * ell ** 4)
 
@@ -356,8 +411,8 @@ def _tate_by_divisor(C, ell, A, X, offsets):
     p = C.p
     for R in offsets:
         XR = _add(C, X, R)
-        num = None if XR is None else _miller_at_point(C, ell, A, XR)
-        den = _miller_at_point(C, ell, A, R)
+        num = None if XR is None else _miller(C, ell, A, XR)
+        den = _miller(C, ell, A, R)
         if num is not None and den is not None:
             return pow(num * pow(den, -1, p), (p - 1) // ell, p)
     return None
