@@ -37,14 +37,13 @@ from .endo import (
 from .field import PrimeField
 from .pairing import weil_pairing
 from .torsion import (
-    SamplingExhausted,
     TorsionBasis,
     TorsionContext,
     find_torsion_basis,
     subgroup_lines,
 )
 
-INPUT_ERRORS = (ValueError, KeyError, SamplingExhausted, CountingExhausted)
+INPUT_ERRORS = (ValueError, KeyError, CountingExhausted)
 
 
 def point_str(A) -> str:

@@ -50,10 +50,6 @@ class RationalEndomorphism:
         self.norm = norm
         self.image = image
 
-    def minpoly_mod(self, ell: int) -> tuple:
-        """Coefficients (1, c1, c0) of the minimal polynomial mod ell."""
-        return (1, -self.trace % ell, self.norm % ell)
-
     def __repr__(self):
         return f"RationalEndomorphism({self.label!r} on {self.curve!r})"
 

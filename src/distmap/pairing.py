@@ -27,16 +27,16 @@ bilinear, but unlike the Weil pairing it can be 1 for X outside <A>, e.g.
 when X lies in ell*E(F_p).
 
 Each walk is the E[ell] check of its base; the private pairings check
-nothing else.  `weil_pairing` checks ell*A = O itself, since a pairing
-with O in one slot walks nothing, and that its value is an ell-th root of
-unity.
+nothing else.  `weil_pairing` walks the other argument when one is O,
+where `_weil` walks nothing, and checks that its value is an ell-th root
+of unity.
 
 The exported convention is pinned by golden values: on the curve
 y^2 = x^3 - 35x + 98 over F_701 the 5-torsion basis point P = (224, 31)
 pairs with its alpha-image (173, 194) to 464.
 """
 
-from .curve import Curve, Point, _mul
+from .curve import Curve, Point
 from .field import check_ell
 
 
@@ -137,10 +137,10 @@ def weil_pairing(C: Curve, ell: int, A: Point, B: Point) -> PairingValue:
     (Miller, J. Cryptology 17, 2004), and 1 when B lies in <A>.
     """
     check_ell(ell)
-    A = C.validate(A)
-    B = C.validate(B)
-    if _mul(C, ell, A) is not None or _mul(C, ell, B) is not None:
-        raise NotInTorsion(f"arguments must lie in E[{ell}]")
+    A, B = C.validate(A), C.validate(B)
+    if (A is None) != (B is None):
+        # with O in one slot _weil walks nothing: walk the other point
+        _walk(C, ell, B if A is None else A)
     return PairingValue(C, ell, _weil(C, ell, A, B))
 
 

@@ -3,22 +3,14 @@
 Requires the fully rational case E[ell] <= E(F_p), which forces
 t = 2 mod ell and q = 1 mod ell.
 
-ell*X = O is never computed: the Miller walks of e(P, Q) check a basis,
-and the walk of dlog2d checks the point it places.
+No point is checked by computing ell*X = O: the Miller walks of e(P, Q)
+check a basis, and the walk of dlog2d checks the point it places.
 """
 
 import random
 from functools import cached_property
 
-from .curve import (
-    Curve,
-    FrobeniusData,
-    Point,
-    PointNotOnCurve,
-    _add,
-    _mul,
-    point_neg,
-)
+from .curve import Curve, FrobeniusData, Point, _add, _mul, _random_point, point_neg
 from .field import check_ell
 from .pairing import NotInTorsion, _walk, _weil
 
@@ -27,15 +19,13 @@ class TorsionNotRational(ValueError):
     """E[ell] is not contained in E(F_p) for the requested ell."""
 
 
-class SamplingExhausted(RuntimeError):
-    """Random search for a basis point exceeded its trial budget."""
-
-
 class TorsionContext:
     """A curve together with a prime ell whose full torsion is rational."""
 
     def __init__(self, ell: int, curve: Curve, frob: FrobeniusData):
         check_ell(ell)
+        if frob.q != curve.p:
+            raise ValueError(f"Frobenius data of F_{frob.q}, not of F_{curve.p}")
         if ell == curve.p:
             raise ValueError("ell must differ from the field characteristic")
         if frob.order_n % (ell * ell) != 0:
@@ -105,53 +95,61 @@ def _multiples(C: Curve, ell: int, A: Point) -> dict:
     return table
 
 
-def _random_ell_torsion_point(ctx: TorsionContext, rng: random.Random) -> Point:
-    """One random point of exact order ell, or None if the draw failed."""
-    C = ctx.curve
-    ell = ctx.ell
-    n = ctx.frob.order_n
-    m = n
-    while m % ell == 0:
-        m //= ell
-    x = rng.randrange(C.p)
-    try:
-        A = C.lift_x(x)
-    except PointNotOnCurve:
-        return None
-    if rng.randrange(2):
-        A = (A[0], -A[1] % C.p)
-    A = _mul(C, m, A)
-    # A now has ell-power order; walk down to exact order ell
-    while A is not None:
-        B = _mul(C, ell, A)
-        if B is None:
-            break
-        A = B
-    return A
+def _order(C: Curve, ell: int, v: int, A: Point) -> tuple:
+    """(k, ell^(k-1)*A) for A of order ell^k < ell^v, v = v_ell(#E), by at
+    most v - 1 multiplications by ell.  With E[ell] rational no point has
+    order ell^v; a point that ell^v does not kill means #E is wrong."""
+    T = A
+    for k in range(1, v):
+        U = _mul(C, ell, T)
+        if U is None:
+            return k, T
+        T = U
+    if _mul(C, ell, T) is None:
+        raise TorsionNotRational(
+            f"E[{ell}] is not rational: a point has order {ell}^{v}"
+        )
+    raise ValueError(f"#E is wrong for {C!r}: it does not kill a point")
 
 
 def find_torsion_basis(ctx: TorsionContext, seed: int = 0) -> TorsionBasis:
-    """Sample a basis (P, Q) of E[ell] deterministically from the seed."""
+    """Sample a basis (P, Q) of E[ell] deterministically from the seed.
+
+    A draw is m*X, X a random point and m the part of #E prime to ell.
+    The first draw A0, of order ell^k, gives P = ell^(k-1)*A0, and each
+    later draw B, of order ell^h, the candidate Q = ell^(h-1)*B.  A Q = s*P
+    in <P> does not discard B: for h <= k, B - s*ell^(k-h)*A0 has a shorter
+    chain and is tried again; for h > k, B/s becomes A0.  So a draw is lost
+    only inside <A0>, of index at least ell in the ell-part when E[ell] is
+    rational, and every other loop is bounded by v = v_ell(#E).  Raises
+    as `_order` does.
+    """
     rng = random.Random(seed)
-    budget = 64 * ctx.ell
-    P = None
-    for _ in range(budget):
-        P = _random_ell_torsion_point(ctx, rng)
-        if P is not None:
-            break
-    else:
-        raise SamplingExhausted(f"no order-{ctx.ell} point in {budget} trials")
-    for _ in range(budget):
-        Q = _random_ell_torsion_point(ctx, rng)
-        if Q is None:
-            continue
-        try:
-            return TorsionBasis(ctx, P, Q)
-        except NotInTorsion:
-            continue
-    raise SamplingExhausted(
-        f"no independent second generator in {budget} trials (ell={ctx.ell})"
-    )
+    C, ell, m = ctx.curve, ctx.ell, ctx.frob.order_n
+    v = 0
+    while m % ell == 0:
+        m, v = m // ell, v + 1
+    A0 = table = None
+    while True:
+        X = _random_point(C, rng)
+        B = _mul(C, m, point_neg(C, X) if rng.randrange(2) else X)
+        while B is not None:
+            h, Q = _order(C, ell, v, B)
+            if A0 is None:
+                A0, k, P = B, h, Q
+                break
+            try:
+                return TorsionBasis(ctx, P, Q)
+            except NotInTorsion:
+                if h == 1:
+                    break  # B = Q = s*P reduces to O
+            if table is None:
+                table = _multiples(C, ell, P)
+            s = table[Q]
+            if h > k:
+                A0, k = _mul(C, pow(s, -1, ell), B), h
+                break
+            B = _add(C, B, _mul(C, -s * ell ** (k - h), A0))
 
 
 def dlog2d(B: TorsionBasis, R: Point) -> tuple:

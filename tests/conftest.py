@@ -21,6 +21,10 @@ settings.register_profile("ci", derandomize=True, deadline=None)
 # inert in Z[i], so [i] distorts every order-31 subgroup.
 P31, A31, N31 = 1437396469, 529490715, 1437396530
 
+# y^2 = x^3 + A*x over F_p with #E = 20 * 97^4 and ell-part Z/97 x Z/97^3:
+# a draw walked down to order 97 lies in <P> about 96 times in 97
+P97, A97, N97 = 1770504529, 1255580575, 1770585620
+
 
 def _fresh_basis(ell):
     """A newly built basis, with nothing cached yet, for ell in {2, 5, 7, 31}."""
@@ -45,6 +49,12 @@ def fresh_basis():
 @pytest.fixture(scope="session")
 def basis31():
     return _fresh_basis(31)
+
+
+@pytest.fixture(scope="session")
+def ctx97():
+    C = Curve(PrimeField(P97), A97, 0)
+    return TorsionContext(97, C, FrobeniusData(P97, N97, P97 + 1 - N97))
 
 
 @pytest.fixture(scope="session")

@@ -220,17 +220,27 @@ def test_missing_required_flag_exit_2(capsys):
     assert "the following arguments are required: --ell" in captured.err
 
 
-def test_sampling_exhausted_exit_2(capsys):
+def test_torsion_not_rational_exit_2(capsys):
     # #E = 92 passes the ell^2 | #E and congruence checks, but x = 88 is
-    # the only root of x^3 + 2x + 1: E(F_101)[2] = Z/2, so no second
-    # independent generator is ever drawn
-    code = main(["census", "--p", "101", "--a4", "2", "--a6", "1",
-                 "--ell", "2", "--phi", "scalar(1)"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error=")
-    assert captured.err.count("\n") == 1
+    # the only root of x^3 + 2x + 1: E(F_101)[2^oo] = Z/4, and a draw of
+    # order 4 shows that E[2] is not rational
+    _one_error_line(
+        capsys,
+        ["census", "--p", "101", "--a4", "2", "--a6", "1",
+         "--ell", "2", "--phi", "scalar(1)"],
+        "E[2] is not rational: a point has order 2^2",
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_census_ell_part_beyond_2d(capsys, seed):
+    # y^2 = x^3 + x + 2 over F_547: #E = 512 = 2^9 with the 2-torsion points
+    # x = 88, 460, 546 rational, so the 2-part is Z/2^i x Z/2^j, i + j = 9;
+    # a draw walked down to order 2 mostly lies in <P>, and is reduced
+    code, out = run(capsys, "census", "--p", "547", "--a4", "1", "--a6", "2",
+                    "--ell", "2", "--phi", "scalar(1)", "--seed", str(seed))
+    assert code == 1  # scalar(1) distorts no subgroup
+    assert out.count(":eigen\n") == 3
 
 
 def test_counting_exhausted_exit_2(capsys, monkeypatch):

@@ -123,12 +123,14 @@ def test_miller_loop_checks_its_base(ex2_curve, A):
 
 
 def test_public_pairing_checks_argument_beside_identity(ex2_curve):
-    # with O in one slot no Miller loop runs, so weil_pairing checks
-    # ell*A = O itself
-    with pytest.raises(NotInTorsion):
-        weil_pairing(ex2_curve, 5, None, (693, 229))
-    with pytest.raises(NotInTorsion):
-        weil_pairing(ex2_curve, 5, (693, 229), None)
+    # with O in one slot _weil walks nothing, so weil_pairing walks the
+    # other argument: (319, 0) has order 2, (693, 229) order 7
+    for A in ((319, 0), (693, 229)):
+        message = re.escape(f"{A} does not have exact order 5")
+        for pair in ((None, A), (A, None)):
+            with pytest.raises(NotInTorsion, match=message):
+                weil_pairing(ex2_curve, 5, *pair)
+    assert weil_pairing(ex2_curve, 5, None, None).value == 1
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5])

@@ -1,13 +1,23 @@
 import itertools
-import random
 import re
+import signal
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from distmap import torsion
-from distmap.curve import Curve, _add, _mul, count_points, point_add, scalar_mul
+from distmap.curve import (
+    Curve,
+    FrobeniusData,
+    _add,
+    _mul,
+    count_points,
+    point_add,
+    point_neg,
+    scalar_mul,
+)
 from distmap.field import PrimeField
 from distmap.pairing import _weil, weil_pairing
 from distmap.torsion import (
@@ -193,22 +203,21 @@ def test_find_basis_one_pairing_per_candidate(
     torsion_calls, monkeypatch, ex2_curve, ex2_frob
 ):
     draws = []
-    draw = torsion._random_ell_torsion_point
+    order = torsion._order
 
-    def recorded(ctx, rng):
-        A = draw(ctx, rng)
-        if A is not None:
-            draws.append(A)
-        return A
+    def recorded(C, ell, v, A):
+        draws.append(A)
+        return order(C, ell, v, A)
 
-    monkeypatch.setattr(torsion, "_random_ell_torsion_point", recorded)
+    monkeypatch.setattr(torsion, "_order", recorded)
     ctx = TorsionContext(2, ex2_curve, ex2_frob)
     candidates = 0
     for seed in range(20):
         draws.clear()
         torsion_calls["weil_pairing"] = 0
         find_torsion_basis(ctx, seed)
-        # the first successful draw is P, every later one a Q candidate
+        # the ell-part is (Z/2)^2: the first draw m*X != O is P, every later
+        # one a Q candidate, and one in <P> reduces to O
         assert torsion_calls["weil_pairing"] == len(draws) - 1
         candidates += len(draws) - 1
     assert candidates > 20  # some seeds drew a Q inside <P> and retried
@@ -264,11 +273,10 @@ def test_find_basis_pinned(ex2_curve, ex2_frob, basis31):
 
 
 def test_torsion_draw_one_mul_per_step(monkeypatch):
-    # y^2 = x^3 + x over F_17 has E(F_17) = Z/4 x Z/4: a draw of order 4
-    # takes one step down (one multiplication by 2), then one more
-    # multiplication by 2 meets O
+    # y^2 = x^3 + x over F_17 has E(F_17) = Z/4 x Z/4, so v_2(#E) = 4: a
+    # point of order 2^k takes k - 1 steps down (one multiplication by 2
+    # each), then one more multiplication by 2 meets O
     C = Curve(PrimeField(17), 1, 0)
-    ctx = TorsionContext(2, C, count_points(C))
     calls = []
 
     def counted(C, k, A):
@@ -276,14 +284,94 @@ def test_torsion_draw_one_mul_per_step(monkeypatch):
         return _mul(C, k, A)
 
     monkeypatch.setattr(torsion, "_mul", counted)
-    rng = random.Random(0)
-    walked = 0
-    for _ in range(50):
-        calls.clear()
-        if torsion._random_ell_torsion_point(ctx, rng) is not None:
-            assert calls in ([1, 2], [1, 2, 2])
-            walked += len(calls) == 3
-    assert walked > 0
+    orders = []
+    for x in range(17):
+        if C.field.legendre(C.rhs(x)) >= 0:
+            for A in (C.lift_x(x), point_neg(C, C.lift_x(x))):
+                calls.clear()
+                k, T = torsion._order(C, 2, 4, A)
+                assert calls == [2] * k
+                assert T is not None and scalar_mul(C, 2, T) is None
+                assert scalar_mul(C, 2 ** (k - 1), A) == T
+                orders.append(k)
+    assert sorted(set(orders)) == [1, 2]
+
+
+@contextmanager
+def _deadline(seconds):
+    """Turns a hang inside the block into a failing TimeoutError."""
+
+    def alarm(signum, frame):
+        raise TimeoutError(f"no answer in {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_find_basis_ell97(ctx97):
+    # ell-part Z/97 x Z/97^3: a candidate in <P> is reduced by the first
+    # draw, not thrown away
+    with _deadline(10):
+        for seed in range(10):
+            B = find_torsion_basis(ctx97, seed)
+            assert _weil(ctx97.curve, 97, B.P, B.Q) != 1
+
+
+def test_find_basis_wrong_order_raises(ex2_curve):
+    # #E = 725 = 25 * 29 passes the context's checks on the F_701 curve of
+    # order 700; a draw m*X = 29*X that 25 does not kill shows it wrong
+    ctx = TorsionContext(5, ex2_curve, FrobeniusData(701, 725, -23))
+    with _deadline(10), pytest.raises(ValueError, match="#E is wrong"):
+        find_torsion_basis(ctx)
+
+
+def test_context_rejects_foreign_frobenius(ex2_curve):
+    # the counts of y^2 = x^3 + x over F_13 (#E = 20) pass the checks on
+    # ell = 2, but belong to another field
+    C13 = Curve(PrimeField(13), 1, 0)
+    with pytest.raises(ValueError, match="Frobenius data of F_13, not of F_701"):
+        TorsionContext(2, ex2_curve, count_points(C13))
+
+
+def _small_contexts(bound, ells):
+    """(ctx, E[ell] rational) for every context TorsionContext accepts on
+    a curve over F_p, 3 <= p < bound, by lifting every x."""
+    for p in [q for q in range(3, bound) if all(q % d for d in range(2, q))]:
+        F = PrimeField(p)
+        for a4, a6 in itertools.product(range(p), repeat=2):
+            try:
+                C = Curve(F, a4, a6)
+                frob = count_points(C)
+            except ValueError:  # singular or supersingular
+                continue
+            lifts = [C.lift_x(x) for x in range(p) if F.legendre(C.rhs(x)) >= 0]
+            points = lifts + [point_neg(C, A) for A in lifts if A[1]]
+            for ell in ells:
+                try:
+                    ctx = TorsionContext(ell, C, frob)
+                except ValueError:
+                    continue
+                killed = 1 + sum(_mul(C, ell, A) is None for A in points)
+                yield ctx, killed == ell * ell
+
+
+def test_find_basis_exhaustive_small_p():
+    # a basis exactly when E[ell] is rational, else TorsionNotRational
+    outcomes = {True: 0, False: 0}
+    with _deadline(60):
+        for seed, (ctx, rational) in enumerate(_small_contexts(50, (2, 3, 5))):
+            outcomes[rational] += 1
+            if rational:
+                find_torsion_basis(ctx, seed)
+            else:
+                with pytest.raises(TorsionNotRational):
+                    find_torsion_basis(ctx, seed)
+    assert outcomes == {True: 1543, False: 2734}
 
 
 def test_subgroup_lines_ell2(basis2):
