@@ -94,7 +94,7 @@ def builtin_catalog() -> dict:
 def get_entry(name: str) -> CurveCatalogEntry:
     cat = builtin_catalog()
     if name not in cat:
-        raise KeyError(f"unknown catalog entry {name!r}; have {sorted(cat)}")
+        raise ValueError(f"unknown catalog entry {name!r}; have {sorted(cat)}")
     return cat[name]
 
 

@@ -10,7 +10,17 @@ check a basis, and the walk of dlog2d checks the point it places.
 import random
 from functools import cached_property
 
-from .curve import Curve, FrobeniusData, Point, _add, _mul, _random_point, point_neg
+from .curve import (
+    EXHAUSTIVE_LIMIT,
+    Curve,
+    FrobeniusData,
+    Point,
+    _add,
+    _count_exhaustive,
+    _mul,
+    _random_point,
+    point_neg,
+)
 from .field import check_ell
 from .pairing import NotInTorsion, _walk, _weil
 
@@ -37,6 +47,14 @@ class TorsionContext:
             raise TorsionNotRational(
                 f"need t = 2 and q = 1 mod {ell}; got t = {frob.trace_t}, q = {frob.q}"
             )
+        # a wrong #E can keep find_torsion_basis drawing forever; up to
+        # EXHAUSTIVE_LIMIT the character sum checks it in p steps
+        if curve.p <= EXHAUSTIVE_LIMIT:
+            n = _count_exhaustive(curve)
+            if n != frob.order_n:
+                raise ValueError(
+                    f"#E = {frob.order_n} is wrong for {curve!r}: it is {n}"
+                )
         self.ell = ell
         self.curve = curve
         self.frob = frob

@@ -1,9 +1,10 @@
+import argparse
 import time
 
 import pytest
 
 from distmap.catalog import CurveCatalogEntry, builtin_catalog, get_entry
-from distmap.cli import main, parse_point, point_str
+from distmap.cli import build_parser, main, parse_point, point_str
 
 
 def run(capsys, *argv):
@@ -207,9 +208,82 @@ def test_name_with_prime_or_conductor_allowed(capsys, argv):
     (["pairing", "--name", "ex2-f701", "--ell", "5", "--A", "1,2,3",
       "--B", "224,31"],
      "point must be 'x,y' or 'O', got '1,2,3'"),
+    (["pairing", "--name", "ex2-f701", "--ell", "5", "--A", "1,x",
+      "--B", "224,31"],
+     "point must be 'x,y' or 'O', got '1,x'"),
+    (["endo-matrix", "--name", "ex2-f701", "--ell", "5", "--phi", "alpha_701",
+      "--A", "224,31", "--B", "1,x"],
+     "point must be 'x,y' or 'O', got '1,x'"),
+    (["ddh", "--name", "ex2-f701", "--ell", "5", "--phi", "alpha_701",
+      "--triple", "1,2"],
+     "triple must be 'a,b,c', got '1,2'"),
+    (["ddh", "--name", "ex2-f701", "--ell", "5", "--phi", "alpha_701",
+      "--triple", "a,b,c"],
+     "triple must be 'a,b,c', got 'a,b,c'"),
+    (["curve-info", "--name", "nonexistent"],
+     "unknown catalog entry 'nonexistent'; have ['ex1-f13', 'ex1-f17', "
+     "'ex1-f29', 'ex1-f5', 'ex2-f701', 'ex4-13', 'ex4-rational']"),
 ])
 def test_rejected_input_exit_2(capsys, argv, message):
     _one_error_line(capsys, argv, message)
+
+
+CURVE_OPTIONS = [
+    (("--name",), "name", None, None, False, None, "catalog entry name"),
+    (("--p",), "p", int, None, False, None, "prime modulus"),
+    (("--a4",), "a4", int, None, False, None, None),
+    (("--a6", "--b"), "a6", int, None, False, None, None),
+    (("--conductor",), "conductor", int, None, False, None,
+     "[O_K : O], overrides catalog"),
+    (("--seed",), "seed", int, 0, False, None, None),
+]
+ELL = (("--ell",), "ell", int, None, True, None, None)
+PHI = (("--phi",), "phi", None, None, True, None, None)
+BASIS = [
+    (("--A",), "A", None, None, False, None, "basis point P (default: sampled)"),
+    (("--B",), "B", None, None, False, None, "basis point Q (default: sampled)"),
+]
+PARSER_OPTIONS = {
+    "curve-info": CURVE_OPTIONS,
+    "pairing": CURVE_OPTIONS + [
+        ELL,
+        (("--A",), "A", None, None, True, None, None),
+        (("--B",), "B", None, None, True, None, None),
+    ],
+    "endo-apply": CURVE_OPTIONS + [
+        PHI, (("--A",), "A", None, None, True, None, None),
+    ],
+    "endo-matrix": CURVE_OPTIONS + [ELL, PHI] + BASIS,
+    "classify": CURVE_OPTIONS + [ELL],
+    "census": CURVE_OPTIONS + [ELL, PHI] + BASIS,
+    "ddh": CURVE_OPTIONS + [
+        ELL, PHI,
+        (("--triple",), "triple", None, None, True, None, "scalars a,b,c"),
+    ] + BASIS,
+    "paper-examples": [],
+    "catalog": [((), "action", None, None, True, ("export",), None)],
+}
+
+
+def test_parser_options_pinned():
+    # every subcommand's options, in order: option strings, dest, type,
+    # default, required, choices and help
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    found = {
+        name: [(tuple(a.option_strings), a.dest, a.type, a.default, a.required,
+                tuple(a.choices) if a.choices else None, a.help)
+               for a in sp._actions if not isinstance(a, argparse._HelpAction)]
+        for name, sp in sub.choices.items()
+    }
+    assert found == PARSER_OPTIONS
+    assert list(found) == list(PARSER_OPTIONS)
+
+
+@pytest.mark.parametrize("command", list(PARSER_OPTIONS))
+def test_subcommand_help_exit_0(capsys, command):
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: distmap {command} ")
 
 
 def test_missing_required_flag_exit_2(capsys):

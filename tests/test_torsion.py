@@ -330,6 +330,15 @@ def test_find_basis_wrong_order_raises(ex2_curve):
         find_torsion_basis(ctx)
 
 
+def test_context_rejects_wrong_order_small_p():
+    # y^2 = x^3 + x + 2 over F_5 has #E = 4 and a cyclic 2-part; with #E
+    # given as 8 every draw has order <= 4 < 2^3, so no draw shows the
+    # order wrong: the context checks it by the character sum instead
+    C5 = Curve(PrimeField(5), 1, 2)
+    with _deadline(10), pytest.raises(ValueError, match="#E = 8 is wrong .* it is 4"):
+        find_torsion_basis(TorsionContext(2, C5, FrobeniusData(5, 8, -2)))
+
+
 def test_context_rejects_foreign_frobenius(ex2_curve):
     # the counts of y^2 = x^3 + x over F_13 (#E = 20) pass the checks on
     # ell = 2, but belong to another field
