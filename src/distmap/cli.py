@@ -14,7 +14,10 @@ from itertools import product
 
 from . import catalog as catalog_mod
 from .classify import (
+    INERT,
     NO_DISTORTION,
+    RAMIFIED,
+    SPLIT,
     OrderData,
     classify_case,
     distortion_census,
@@ -188,7 +191,7 @@ def _ex1_check(p: int) -> bool:
     B = find_torsion_basis(TorsionContext(2, C, entry.frob), seed=0)
     report = verify_theorem1(entry.order, endo_matrix(e, B), 2)
     return (fixes and swaps and report.census_distorted == 2
-            and classify_case(entry.order, 2).case_tag == "Ramified")
+            and classify_case(entry.order, 2).case_tag == RAMIFIED)
 
 
 def _ex4_check() -> bool:
@@ -236,7 +239,7 @@ def _paper_example_rows():
          lambda: M5.trace() == 1 and M5.det() == 2
          and not quadratic_roots_mod(char_poly_mod_ell(M5), 5)),
         ("ex2 classify ell=5 Inert, census 6/6",
-         lambda: classify_case(ex2.order, 5).case_tag == "Inert"
+         lambda: classify_case(ex2.order, 5).case_tag == INERT
          and distortion_census(M5).census_distorted == 6),
         ("ex3 alpha(319,0)=O alpha(389,0)=(389,0)",
          lambda: endo_eval(al, (319, 0)) is None
@@ -244,7 +247,7 @@ def _paper_example_rows():
         ("ex3 matrix diag(0,1), eigenvalues 0 and 1",
          lambda: M2.entries == ((0, 0), (0, 1))),
         ("ex3 classify ell=2 Split, census 1/3",
-         lambda: classify_case(ex2.order, 2).case_tag == "Split"
+         lambda: classify_case(ex2.order, 2).case_tag == SPLIT
          and distortion_census(M2).census_distorted == 1),
         *[(f"ex1 p={p} [i] fixes <(0,0)>, Ramified, census 2/3",
            partial(_ex1_check, p)) for p in (5, 13, 17, 29)],

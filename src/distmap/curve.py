@@ -181,12 +181,12 @@ def _count_exhaustive(C: Curve) -> int:
 
 
 def _random_point(C: Curve, rng: random.Random) -> Point:
-    """A point of C over a uniformly drawn x-coordinate."""
+    """A point of C over a uniformly drawn x-coordinate (smaller y)."""
     while True:
-        try:
-            return C.lift_x(rng.randrange(C.p))
-        except PointNotOnCurve:
-            pass
+        x = rng.randrange(C.p)
+        y = C.field.sqrt(C.rhs(x))
+        if y is not None:
+            return (x, y)
 
 
 def _annihilators(C: Curve, A: Point, first: int, step: int, count: int):

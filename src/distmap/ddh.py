@@ -18,10 +18,11 @@ phi that distorts <P>; that phi keeps the Weil equation, three walks, P's
 recorded one read at phi(T).  The verdict and the equation are chosen once
 per basis and phi.
 
-The images of phi are read, not walked, so each is checked against the
-table of the multiples of phi(P), built once per basis and phi: phi(bP)
-must be b*phi(P).  An image outside the table is walked, which raises
-NotInTorsion outside E[ell]; any other mismatch raises NotAHomomorphism.
+The images of phi are read, not walked, so phi is checked once per basis
+and phi on all of <P>: phi(bP) must be b*phi(P), one lookup each in the
+table of the multiples of phi(P), or NotAHomomorphism is raised.  The
+images are then kept with the equation, and a decision reads phi(S) and
+phi(T) from them without evaluating phi.
 """
 
 import random
@@ -70,21 +71,6 @@ def _member(B: TorsionBasis, A: Point) -> Point:
     return V
 
 
-def _image(B: TorsionBasis, phi: RationalEndomorphism, S: Point) -> Point:
-    """phi(S) for S = b*P, checked to be b*phi(P) by one lookup in the
-    table of the multiples of phi(P).  An image outside that table is
-    walked: NotInTorsion if it lies outside E[ell], else NotAHomomorphism,
-    as for an image in the table at the wrong index."""
-    X = phi.image(S)
-    b = B.p_multiples[S]
-    k = B.phi_multiples[phi].get(X)
-    if k != b:
-        if k is None:
-            _walk(B.curve, B.ell, X)
-        raise NotAHomomorphism(f"{phi.label} sends {S} = {b}P to {X}, not to {b}*phi(P)")
-    return X
-
-
 def _weil_equation(B: TorsionBasis, R: Point, X: Point, Y: Point) -> bool:
     """e(R, X) == e(P, Y): two Weil pairings, three walks, as P's recorded
     walk is read at Y."""
@@ -106,9 +92,9 @@ def _tate_equation(B: TorsionBasis, R: Point, X: Point, Y: Point) -> bool:
 
 
 def _rule(B: TorsionBasis, phi: RationalEndomorphism):
-    """The equation that decides DDH on <P> with phi, or None when phi does
-    not distort <P>; chosen once per basis and phi and kept on the basis,
-    with the table of the multiples of phi(P) that checks phi's images."""
+    """(equation, images) that decide DDH on <P> with phi, or None when phi
+    does not distort <P>; chosen once per basis and phi and kept on the
+    basis.  images is {b*P: phi(b*P)}, each checked to be b*phi(P)."""
     if phi not in B.distorts:
         if phi.curve != B.curve:
             raise IncompatibleCurve("endomorphism and basis live on different curves")
@@ -116,13 +102,18 @@ def _rule(B: TorsionBasis, phi: RationalEndomorphism):
         image = phi.image(P)
         if image in B.p_multiples:
             B.distorts[phi] = None
-        else:
-            _walk(C, ell, image)  # the E[ell] check of phi(P)
-            B.phi_multiples[phi] = _multiples(C, ell, image)
-            if _tate(C, ell, P, image, B.p_walk) != 1:
-                B.distorts[phi] = _tate_equation
-            else:
-                B.distorts[phi] = _weil_equation
+            return None
+        _walk(C, ell, image)  # the E[ell] check of phi(P)
+        multiples = _multiples(C, ell, image)
+        images = {}
+        for S, b in B.p_multiples.items():
+            X = images[S] = phi.image(S)
+            if multiples.get(X) != b:
+                raise NotAHomomorphism(
+                    f"{phi.label} sends {S} = {b}P to {X}, not to {b}*phi(P)"
+                )
+        tate = _tate(C, ell, P, image, B.p_walk) != 1
+        B.distorts[phi] = (_tate_equation if tate else _weil_equation, images)
     return B.distorts[phi]
 
 
@@ -130,15 +121,16 @@ def ddh_decide(B: TorsionBasis, phi: RationalEndomorphism, inst: DdhInstance) ->
     """True iff the instance triple is a Diffie-Hellman triple over <P>."""
     if B.curve.validate(inst.base) != B.P:
         raise InstanceInvalid("instance base point differs from the basis P")
-    equation = _rule(B, phi)
-    if equation is None:
+    rule = _rule(B, phi)
+    if rule is None:
         raise NotADistortionMap(
             f"{phi.label} does not distort <P>: phi(P) lies in <P>, cannot decide DDH"
         )
+    equation, images = rule
     # one validate and one table lookup per member; the canonical points
-    # returned feed phi, whose images are checked by one more lookup each
+    # returned key phi's checked images
     R, S, T = (_member(B, A) for A in inst.triple)
-    return equation(B, R, _image(B, phi, S), _image(B, phi, T))
+    return equation(B, R, images[S], images[T])
 
 
 def ddh_sample(B: TorsionBasis, honest: bool, seed: int = 0) -> DdhInstance:

@@ -82,11 +82,10 @@ class TorsionBasis:
         self.P = P
         self.Q = Q
         self.p_walk = walk
-        # phi -> the equation that decides DDH on <P> with phi (None when
-        # phi does not distort <P>), and phi -> the multiples of phi(P),
-        # both filled in by ddh.ddh_decide
+        # phi -> (the equation that decides DDH on <P> with phi, phi's
+        # checked images of <P>), or None when phi does not distort <P>;
+        # filled in by ddh.ddh_decide
         self.distorts = {}
-        self.phi_multiples = {}
 
     @cached_property
     def p_multiples(self) -> dict:

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from distmap import curve, ddh, endo, pairing, torsion
-from distmap.curve import Curve, point_add, scalar_mul
+from distmap.curve import Curve, count_points, point_add, scalar_mul
 from distmap.ddh import (
     DdhInstance,
     InstanceInvalid,
@@ -22,8 +22,13 @@ from distmap.endo import (
     shifted_endo,
 )
 from distmap.field import PrimeField, ZeroInverse
-from distmap.pairing import NotInTorsion, weil_pairing
-from distmap.torsion import TorsionBasis
+from distmap.pairing import weil_pairing
+from distmap.torsion import (
+    TorsionBasis,
+    TorsionContext,
+    TorsionNotRational,
+    find_torsion_basis,
+)
 
 
 def triple_of(C, P, a, b, c):
@@ -265,7 +270,7 @@ def test_distortion_check_paired_once_per_phi(weil_calls, miller_calls, basis5, 
     weil_calls.clear()
     ddh_decide(B, shifted_endo(alpha, 1), inst)  # a new phi: checked afresh
     assert (len(weil_calls), *_walks_reads(miller_calls)) == (0, 2, 3)
-    assert len(B.distorts) == len(B.phi_multiples) == 2
+    assert len(B.distorts) == 2
 
 
 def test_cached_non_distortion_still_raises(weil_calls, miller_calls, basis5, ex2_curve):
@@ -279,7 +284,7 @@ def test_cached_non_distortion_still_raises(weil_calls, miller_calls, basis5, ex
         with pytest.raises(NotADistortionMap, match=r"phi\(P\) lies in <P>"):
             ddh_decide(B, phi, inst)
     assert (len(weil_calls), *_walks_reads(miller_calls)) == (0, 0, 0)
-    assert B.phi_multiples == {}
+    assert B.distorts[phi] is None
 
 
 @pytest.mark.parametrize("case, reads", [
@@ -322,7 +327,7 @@ def _check_rule(B, phi, rule, triples):
         args = (B, R, phi.image(S), phi.image(T))
         assert ddh._weil_equation(*args) == truth
         assert ddh._tate_equation(*args) == (truth or rule is ddh._weil_equation)
-    assert B.distorts[phi] is rule
+    assert B.distorts[phi][0] is rule
 
 
 def test_tate_rule_against_weil_rule_ex2(basis5, alpha):
@@ -379,9 +384,10 @@ def test_map_into_p_refused_by_tate_rule(basis5, alpha, ex2_curve):
         ddh_decide(_fresh(basis5), fake, inst)
 
 
-def _order7_image_raises(basis5, base, rule):
+def _order7_image_raises(basis5, base):
     # a map that sends S to a point of order 7 is no endomorphism: the
-    # image misses the table of <phi(P)>, and its walk catches it
+    # image misses the table of <phi(P)>, which refuses the map before
+    # any triple is decided, and the map is not cached
     C = basis5.curve
     S = scalar_mul(C, 3, basis5.P)
     order7 = (693, 229)
@@ -391,17 +397,17 @@ def _order7_image_raises(basis5, base, rule):
     )
     B = _fresh(basis5)
     inst = triple_of(C, B.P, 2, 3, 6)
-    with pytest.raises(NotInTorsion, match="does not have exact order 5"):
+    with pytest.raises(NotAHomomorphism, match=re.escape(f"sends {S} = 3P to {order7}")):
         ddh_decide(B, fake, inst)
-    assert B.distorts[fake] is rule
+    assert fake not in B.distorts
 
 
 def test_image_outside_torsion_raises_not_torsion(basis5, alpha):
-    _order7_image_raises(basis5, alpha, ddh._tate_equation)
+    _order7_image_raises(basis5, alpha)
 
 
 def test_image_outside_torsion_raises_under_weil_rule(basis5, alpha):
-    _order7_image_raises(basis5, shifted_endo(alpha, 2), ddh._weil_equation)
+    _order7_image_raises(basis5, shifted_endo(alpha, 2))
 
 
 @pytest.mark.parametrize("shift", ["Q", "P"])
@@ -410,7 +416,8 @@ def test_image_in_torsion_off_its_multiple_raises(basis5, alpha, ex2_curve, shif
     # images in E[5], so no walk can refuse them.  alpha(P) = 2Q, so with
     # + Q the image 2Q stays in <phi(P)> = <Q> but is 1*phi(P), not
     # 3*phi(P); with + P it leaves <phi(P)>.  Unchecked, such a map decides
-    # some triples wrongly without an error
+    # some triples wrongly without an error; checked on all of <P>, it is
+    # refused on every triple, and never cached
     C, B = ex2_curve, _fresh(basis5)
     P, Q = B.P, B.Q
     S3 = scalar_mul(C, 3, P)
@@ -423,14 +430,11 @@ def test_image_in_torsion_off_its_multiple_raises(basis5, alpha, ex2_curve, shif
     refused = 0
     for a, b, c in itertools.product(range(5), repeat=3):
         inst = triple_of(C, P, a, b, c)
-        if 3 in (b, c):
-            with pytest.raises(NotAHomomorphism, match=re.escape(f"to {moved}, not to 3*phi(P)")):
-                ddh_decide(B, fake, inst)
-            refused += 1
-        else:
-            assert ddh_decide(B, fake, inst) == (a * b % 5 == c)
-    assert refused == 45
-    assert B.distorts[fake] is ddh._tate_equation
+        with pytest.raises(NotAHomomorphism, match=re.escape(f"to {moved}, not to 3*phi(P)")):
+            ddh_decide(B, fake, inst)
+        refused += 1
+    assert refused == 125
+    assert fake not in B.distorts
 
 
 def test_table_verdict_matches_weil_test(basis5, basis31, alpha, ex2_curve):
@@ -489,3 +493,59 @@ def test_warm_decision_adds_no_point(add_calls, basis5, alpha, basis31):
         for inst in insts:
             ddh_decide(B, phi, inst)
         assert add_calls == [], B.ell
+
+
+def test_warm_decision_evaluates_phi_never(basis5, alpha, basis31):
+    # phi's images of <P> are taken and checked once per basis and phi, at
+    # most ell + 1 evaluations of phi; a warm decision reads them and
+    # evaluates phi not at all
+    phi31 = make_catalog_endo("sqrt_minus_one", basis31.curve)
+    for B, base in ((basis5, alpha), (basis31, phi31)):
+        calls = []
+
+        def image(A, f=base.image):
+            calls.append(A)
+            return f(A)
+
+        phi = RationalEndomorphism(base.curve, base.label, base.trace, base.norm, image)
+        B = _fresh(B)
+        insts = [ddh_sample(B, honest=s % 2 == 0, seed=s) for s in range(6)]
+        ddh_decide(B, phi, insts[0])
+        assert len(calls) <= B.ell + 1, B.ell
+        calls.clear()
+        for inst in insts:
+            ddh_decide(B, phi, inst)
+        assert calls == [], B.ell
+
+
+def test_ddh_differential_small_curves(weil_calls):
+    # every y^2 = x^3 + a4*x over F_p, p = 1 mod 4, 5 <= p < 110, with
+    # E[ell] rational for ell in {2, 3, 5}, and every phi = [i] + k: a map
+    # that distorts <P> (e(P, phi(P)) != 1) decides all ell^3 triples as
+    # ab = c mod ell; any other map is refused
+    equations = set()
+    for p in range(5, 110, 4):
+        if any(p % d == 0 for d in range(2, p)):
+            continue
+        for a4 in range(1, p):
+            C = Curve(PrimeField(p), a4, 0)
+            frob, i = count_points(C), make_catalog_endo("sqrt_minus_one", C)
+            for ell in (2, 3, 5):
+                if ell == p:
+                    continue
+                try:
+                    B = find_torsion_basis(TorsionContext(ell, C, frob), seed=0)
+                except TorsionNotRational:
+                    continue
+                for k in range(ell):
+                    phi = shifted_endo(i, k)
+                    if weil_pairing(C, ell, B.P, phi.image(B.P)).is_trivial():
+                        with pytest.raises(NotADistortionMap):
+                            ddh_decide(B, phi, triple_of(C, B.P, 1, 1, 1))
+                        continue
+                    weil_calls.clear()
+                    for a, b, c in itertools.product(range(ell), repeat=3):
+                        inst = triple_of(C, B.P, a, b, c)
+                        assert ddh_decide(B, phi, inst) == (a * b % ell == c), (C, ell, k)
+                    equations.add("Weil" if weil_calls else "Tate")
+    assert equations == {"Tate", "Weil"}
