@@ -83,14 +83,6 @@ class Curve:
             raise PointNotOnCurve(f"({A[0]}, {A[1]}) not on {self!r}")
         return (x, y)
 
-    def lift_x(self, x: int) -> Point:
-        """A point with the given x-coordinate (smaller y); raises
-        PointNotOnCurve if no point of the curve has that x."""
-        y = self.field.sqrt(self.rhs(x % self.p))
-        if y is None:
-            raise PointNotOnCurve(f"x={x} has no point on {self!r}")
-        return (x % self.p, y)
-
 
 class FrobeniusData:
     """Counted group order and Frobenius trace for a curve over F_p."""
@@ -145,6 +137,40 @@ def _add(C: Curve, A: Point, B: Point) -> Point:
     return (x3, y3)
 
 
+def _add_each(C: Curve, As, B: Point):
+    """[_add(C, A, B) for A in As] with one inversion for the whole list.
+
+    Montgomery's simultaneous inversion ("Speeding the Pollard and elliptic
+    curve methods of factorization", Math. Comp. 48, 1987): prefix products
+    of the slope denominators x(B) - x(A), one inversion of their product,
+    then a backward pass that peels off each 1/(x(B) - x(A)).  An A that is
+    O or shares B's x, and every A when B is O, goes through _add.
+    """
+    if B is None:
+        return [_add(C, A, B) for A in As]
+    p = C.p
+    x2, y2 = B
+    before = []  # before[i]: the product of the denominators of As[:i]
+    acc = 1
+    for A in As:
+        before.append(acc)
+        if A is not None and A[0] != x2:
+            acc = acc * (x2 - A[0]) % p
+    inv = pow(acc, -1, p)  # 1 / (the product of every denominator so far)
+    sums = []
+    for A, d in zip(reversed(As), reversed(before)):
+        if A is None or A[0] == x2:
+            sums.append(_add(C, A, B))
+            continue
+        x1, y1 = A
+        lam = (y2 - y1) * inv * d % p
+        inv = inv * (x2 - x1) % p
+        x3 = (lam * lam - x1 - x2) % p
+        sums.append((x3, (lam * (x1 - x3) - y1) % p))
+    sums.reverse()
+    return sums
+
+
 def _mul(C: Curve, k: int, A: Point) -> Point:
     """k*A by double-and-add for A already known to lie on C; negative k
     uses the inverse point."""
@@ -189,6 +215,43 @@ def _random_point(C: Curve, rng: random.Random) -> Point:
             return (x, y)
 
 
+# Below this many baby steps an inversion costs only a few products, so
+# _annihilators steps one _add at a time (m <= 32 for p < 2^18; layers
+# start to pay near m = 40, p ~ 2^19).
+_LAYER_MIN = 40
+
+
+def _progression(C: Curve, G: Point, S: Point, n: int):
+    """[G + i*S for i in range(n)], n >= 1, in doubling layers: points k..2k-1
+    are points 0..k-1 plus k*S, one _add_each (one inversion) per layer.
+    k*S is the last point so far when G = S, else one doubling per layer."""
+    pts, kS = [G], S
+    while len(pts) < n:
+        if len(pts) > 1:
+            kS = pts[-1] if G == S else _add(C, kS, kS)
+        pts += _add_each(C, pts[: n - len(pts)], kS)
+    return pts
+
+
+def _order_found(base: Point, table: dict, j: int, T: Point):
+    """(k0, e) once the j-th baby step T = j*B is O, a point of order 2 or
+    an x seen before, which makes e = ord(B)."""
+    if T is None:
+        e = j
+    elif T[1] == 0:
+        e = 2 * j
+    else:
+        # T = -i*B, as i*B = T would have met O at step j - i
+        e = j + table[T[0]][0]
+    # the table and T hold +-i*B for every i*B != O in <B>
+    if T is not None:
+        table.setdefault(T[0], (j, T[1]))
+    if base is None:
+        return 0, e
+    i, y = table[base[0]]
+    return (-i if base[1] == y else i) % e, e
+
+
 def _annihilators(C: Curve, A: Point, first: int, step: int, count: int):
     """The k in [0, count) with (first + k*step)*A = O, as (k0, e): they are
     exactly k0, k0 + e, k0 + 2e, ... below count.  At least one must exist.
@@ -198,43 +261,48 @@ def _annihilators(C: Curve, A: Point, first: int, step: int, count: int):
     of order 2 or an x seen before gives the exact order e of B, and one
     lookup of first*A then places k0.  Otherwise ord(B) > 2m, each giant
     window of 2m + 1 consecutive k holds at most one solution, and the scan
-    visits every window.
+    visits every window.  From m = _LAYER_MIN on, the baby steps and the
+    giant steps are each built whole as a _progression, in doubling layers
+    with one inversion per layer (Montgomery 1987), and then checked in the
+    order of the one-at-a-time steps below that, so the same step exits.
     """
     base = _mul(C, first, A)
     B = _mul(C, step, A)
     m = isqrt(count // 2) + 1
     table = {}  # x(j*B) -> (j, y(j*B)) for 1 <= j <= m
-    T = B
-    for j in range(1, m + 1):
-        if T is None:
-            e = j
-        elif T[1] == 0:
-            e = 2 * j
-        elif T[0] in table:
-            # T = -i*B, as i*B = T would have met O at step j - i
-            e = j + table[T[0]][0]
-        else:
+    # giant steps: G = (first + c*step)*A at window centres c = m + i(2m + 1)
+    windows = range(m, count + m, 2 * m + 1)
+    hits = []
+    if m < _LAYER_MIN:
+        T = B
+        for j in range(1, m + 1):
+            if T is None or T[1] == 0 or T[0] in table:
+                return _order_found(base, table, j, T)
             table[T[0]] = (j, T[1])
             mB, T = T, _add(C, T, B)
-            continue
-        # ord(B) = e: the table and T hold +-i*B for every i*B != O in <B>
-        if T is not None:
-            table.setdefault(T[0], (j, T[1]))
-        if base is None:
-            return 0, e
-        i, y = table[base[0]]
-        return (-i if base[1] == y else i) % e, e
-    # giant steps: G = (first + c*step)*A at window centres c = m + i(2m + 1)
-    S = _add(C, mB, T)
-    G = _add(C, base, mB)
-    hits = []
-    for c in range(m, count + m, 2 * m + 1):
-        if G is None:
-            hits.append(c)
-        elif G[0] in table:
-            j, y = table[G[0]]
-            hits.append(c - j if G[1] == y else c + j)
-        G = _add(C, G, S)
+        S = _add(C, mB, T)
+        G = _add(C, base, mB)
+        for c in windows:
+            if G is None:
+                hits.append(c)
+            elif G[0] in table:
+                j, y = table[G[0]]
+                hits.append(c - j if G[1] == y else c + j)
+            G = _add(C, G, S)
+    else:
+        babies = _progression(C, B, B, m + 1)
+        for j, T in zip(range(1, m + 1), babies):
+            if T is None or T[1] == 0 or T[0] in table:
+                return _order_found(base, table, j, T)
+            table[T[0]] = (j, T[1])
+        mB, T = babies[m - 1], babies[m]
+        giants = _progression(C, _add(C, base, mB), _add(C, mB, T), len(windows))
+        for c, G in zip(windows, giants):
+            if G is None:
+                hits.append(c)
+            elif G[0] in table:
+                j, y = table[G[0]]
+                hits.append(c - j if G[1] == y else c + j)
     hits = [k for k in hits if k < count]
     return hits[0], (hits[1] - hits[0] if len(hits) > 1 else count)
 

@@ -26,6 +26,12 @@ P31, A31, N31 = 1437396469, 529490715, 1437396530
 P97, A97, N97 = 1770504529, 1255580575, 1770585620
 
 
+def lift(C, x):
+    """(x, the smaller square root of x^3 + a4*x + a6), for 0 <= x < p; the
+    root is None when no point of C has that x."""
+    return (x, C.field.sqrt(C.rhs(x)))
+
+
 def _fresh_basis(ell):
     """A newly built basis, with nothing cached yet, for ell in {2, 5, 7, 31}."""
     if ell == 7:

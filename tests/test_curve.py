@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,8 +15,12 @@ from distmap.curve import (
     FrobeniusData,
     PointNotOnCurve,
     SupersingularCurve,
+    _add,
+    _add_each,
+    _annihilators,
     _count_bsgs,
     _count_exhaustive,
+    _mul,
     count_points,
     point_add,
     point_neg,
@@ -98,6 +103,29 @@ def test_group_laws_exhaustive(p, a4, a6):
         )
     for A in pts:
         assert point_add(C, A, point_neg(C, A)) is None
+
+
+@pytest.mark.parametrize("p,a4,a6", [(13, 1, 0), (17, 2, 3), (31, 5, 7), (97, 2, 3)])
+def test_add_each_matches_add_on_every_point(p, a4, a6):
+    C = Curve(PrimeField(p), a4, a6)
+    pts = all_points(C)
+    order2 = next(A for A in pts if A is not None and A[1] == 0)
+    generic = next(A for A in pts if A is not None and A[1] != 0)
+    for B in (None, order2, generic):
+        # pts holds O, B itself (a doubling) and -B (a sum of O)
+        for As in ([], [generic], [order2], pts, pts[::-1]):
+            assert _add_each(C, As, B) == [_add(C, A, B) for A in As]
+
+
+def test_add_each_matches_add_at_2_40():
+    C = Curve(PrimeField(1099511627689), 3, 7)  # the largest prime below 2^40
+    rng = random.Random(40)
+    for k in (1, 2, 33, 200):
+        B, *As = _lifted_points(C, k, k + 1)
+        As += [None, B, point_neg(C, B), B, None]
+        rng.shuffle(As)
+        assert _add_each(C, As, B) == [_add(C, A, B) for A in As]
+        assert _add_each(C, As, None) == As
 
 
 def test_count_f701(ex2_curve, ex2_frob):
@@ -218,6 +246,61 @@ def test_bsgs_below_floor_exact_or_typed():
     assert exhausted > 0  # e.g. (5, 1, 0), which the floor sends to the sum
 
 
+def _annihilators_by_scan(C, A, first, step, count):
+    """The k < count with (first + k*step)*A = O, one addition per k."""
+    X, D = _mul(C, first, A), _mul(C, step, A)
+    ks = []
+    for k in range(count):
+        if X is None:
+            ks.append(k)
+        X = _add(C, X, D)
+    return ks
+
+
+P20 = 1048573  # the largest prime below 2^20
+
+
+@pytest.mark.parametrize(
+    "p,a4,a6,A,first,step,count",
+    [
+        # the Hasse interval of a curve at 2^20, #E = 1048550
+        (P20, 3, 7, None, P20 + 1 - 2047, 1, 4095),
+        (P20, 3, 7, None, 1048550 - 3 * 1500, 3, 4000),
+        # first*A = O
+        (P20, 3, 7, None, 1048550, 1, 4095),
+        (P20, 3, 7, None, 0, 7, 4000),
+        # B = step*A of order 2, 7 and 25 on ex2 (#E = 700): the baby steps
+        # exit early with the order of B
+        (701, -35, 98, (319, 0), 1, 1, 5000),
+        (701, -35, 98, None, 300, 100, 5000),
+        (701, -35, 98, None, 0, 28, 5000),
+        (701, -35, 98, None, 28 * 4, 28, 6000),
+        # ord(B) = 90 = 2m: the last baby step, 45*B, has order 2
+        (1009, 13, 1, (936, 748), 0, 1, 4000),
+        (1009, 13, 1, (936, 748), 7, 1, 4000),
+    ],
+)
+def test_annihilators_layered_against_scan(p, a4, a6, A, first, step, count):
+    C = Curve(PrimeField(p), a4, a6)
+    A = A or _lifted_points(C, first, 1)[0]
+    # these sizes take the layered baby and giant steps
+    assert isqrt(count // 2) + 1 >= curve._LAYER_MIN
+    k0, e = _annihilators(C, A, first, step, count)
+    assert list(range(k0, count, e)) == _annihilators_by_scan(C, A, first, step, count)
+
+
+@pytest.mark.parametrize("p", [P20, 1073741789, 1099511627689])
+def test_count_layered_kills_points_of_e_and_twist(p):
+    # the largest primes below 2^20, 2^30 and 2^40
+    C = Curve(PrimeField(p), 123456789, 987654321)
+    n = count_points(C).order_n
+    E2 = _twist(C)
+    for A in _lifted_points(C, p, 5):
+        assert scalar_mul(C, n, A) is None
+    for A in _lifted_points(E2, p + 1, 5):
+        assert scalar_mul(E2, 2 * p + 2 - n, A) is None
+
+
 def test_count_2_24_under_a_second():
     # the exhaustive sum took about a minute at this p
     C = Curve(PrimeField(16777213), 5, 11)
@@ -247,26 +330,45 @@ def test_count_2_48_kills_points_of_e_and_twist():
 def test_count_op_counts(monkeypatch, p):
     # p = 65521 is 1 mod 16, so every square root also searches for a
     # non-residue; the character sum would make p Legendre calls
-    calls = {"legendre": 0, "add": 0}
-    legendre, add = PrimeField.legendre, curve._add
+    calls = {"legendre": 0, "add": 0, "inv": 0}
+    legendre, add, add_each = PrimeField.legendre, curve._add, curve._add_each
+    batched = []  # nonempty inside _add_each, which counts its own _add calls
 
     def counted_legendre(self, a):
         calls["legendre"] += 1
         return legendre(self, a)
 
     def counted_add(*args):
-        calls["add"] += 1
+        calls["add"] += not batched
         return add(*args)
+
+    def counted_add_each(C, As, B):
+        calls["add"] += len(As)
+        batched.append(B)
+        sums = add_each(C, As, B)
+        batched.pop()
+        return sums
+
+    def counted_pow(*args):
+        calls["inv"] += len(args) == 3 and args[1] == -1
+        return pow(*args)
 
     monkeypatch.setattr(PrimeField, "legendre", counted_legendre)
     monkeypatch.setattr(curve, "_add", counted_add)
+    monkeypatch.setattr(curve, "_add_each", counted_add_each)
+    monkeypatch.setattr(curve, "pow", counted_pow, raising=False)
     count_points(Curve(PrimeField(p), 3, 7))
     assert calls["legendre"] <= 64
+    # every point addition, batched or not
     assert calls["add"] <= 6 * p ** 0.25
     if p == 65521:
         # the least non-residue 17 is searched for once per field, not once
         # per square root and again for the twist (33 calls when repeated)
         assert calls["legendre"] < 33
+    if p == 16777213:
+        # the steps of _annihilators share one inversion per layer; with one
+        # inversion per addition this count took 228
+        assert calls["inv"] == 73
 
 
 def test_count_twist_by_least_non_residue(monkeypatch):

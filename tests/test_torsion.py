@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import lift
 from distmap import torsion
 from distmap.curve import (
     Curve,
@@ -148,7 +149,7 @@ def test_dlog_round_trip_ell31(basis31, a, b):
 
 def test_dlog_rejects_non_torsion(basis5, ex2_curve):
     # a point of order 7 on the F_701 curve (700 = 4 * 25 * 7)
-    A = scalar_mul(ex2_curve, 100, ex2_curve.lift_x(2))
+    A = scalar_mul(ex2_curve, 100, lift(ex2_curve, 2))
     with pytest.raises(NotInTorsion, match="is not killed by 5"):
         dlog2d(basis5, A)
 
@@ -165,7 +166,7 @@ def test_dlog_rejects_order_ell_squared():
 
 def test_dlog_rejects_order_prime_to_ell31(basis31):
     C = basis31.curve
-    A = scalar_mul(C, 31 * 31, C.lift_x(4))
+    A = scalar_mul(C, 31 * 31, lift(C, 4))
     n = basis31.ctx.frob.order_n
     assert A is not None and scalar_mul(C, n // (31 * 31), A) is None
     with pytest.raises(NotInTorsion):
@@ -287,7 +288,7 @@ def test_torsion_draw_one_mul_per_step(monkeypatch):
     orders = []
     for x in range(17):
         if C.field.legendre(C.rhs(x)) >= 0:
-            for A in (C.lift_x(x), point_neg(C, C.lift_x(x))):
+            for A in (lift(C, x), point_neg(C, lift(C, x))):
                 calls.clear()
                 k, T = torsion._order(C, 2, 4, A)
                 assert calls == [2] * k
@@ -358,7 +359,7 @@ def _small_contexts(bound, ells):
                 frob = count_points(C)
             except ValueError:  # singular or supersingular
                 continue
-            lifts = [C.lift_x(x) for x in range(p) if F.legendre(C.rhs(x)) >= 0]
+            lifts = [lift(C, x) for x in range(p) if F.legendre(C.rhs(x)) >= 0]
             points = lifts + [point_neg(C, A) for A in lifts if A[1]]
             for ell in ells:
                 try:
