@@ -20,7 +20,7 @@ from .torsion import (
     dlog2d,
     find_torsion_basis,
 )
-from .pairing import PairingValue, weil_pairing
+from .pairing import weil_pairing
 from .endo import (
     RationalEndomorphism,
     TorsionMatrix,

@@ -215,41 +215,29 @@ def _random_point(C: Curve, rng: random.Random) -> Point:
             return (x, y)
 
 
-# Below this many baby steps an inversion costs only a few products, so
-# _annihilators steps one _add at a time (m <= 32 for p < 2^18; layers
-# start to pay near m = 40, p ~ 2^19).
+# Below this many points an inversion costs only a few products, so
+# _progression adds one point at a time (n <= 33 for the BSGS steps at
+# p < 2^18); layers start to pay near n = 40, p ~ 2^19.
 _LAYER_MIN = 40
 
 
-def _progression(C: Curve, G: Point, S: Point, n: int):
-    """[G + i*S for i in range(n)], n >= 1, in doubling layers: points k..2k-1
-    are points 0..k-1 plus k*S, one _add_each (one inversion) per layer.
-    k*S is the last point so far when G = S, else one doubling per layer."""
-    pts, kS = [G], S
+def _progression(C: Curve, G: Point, S: Point, n: int) -> list:
+    """[G + i*S for i in range(n)], n >= 1.  Below _LAYER_MIN points, one
+    _add per point; from there on in doubling layers: points k..2k-1 are
+    points 0..k-1 plus k*S, one _add_each (one inversion) per layer
+    (Montgomery 1987).  k*S is the last point so far when G = S, else one
+    doubling per layer."""
+    pts = [G]
+    if n < _LAYER_MIN:
+        for _ in range(n - 1):
+            pts.append(_add(C, pts[-1], S))
+        return pts
+    kS = S
     while len(pts) < n:
         if len(pts) > 1:
             kS = pts[-1] if G == S else _add(C, kS, kS)
         pts += _add_each(C, pts[: n - len(pts)], kS)
     return pts
-
-
-def _order_found(base: Point, table: dict, j: int, T: Point):
-    """(k0, e) once the j-th baby step T = j*B is O, a point of order 2 or
-    an x seen before, which makes e = ord(B)."""
-    if T is None:
-        e = j
-    elif T[1] == 0:
-        e = 2 * j
-    else:
-        # T = -i*B, as i*B = T would have met O at step j - i
-        e = j + table[T[0]][0]
-    # the table and T hold +-i*B for every i*B != O in <B>
-    if T is not None:
-        table.setdefault(T[0], (j, T[1]))
-    if base is None:
-        return 0, e
-    i, y = table[base[0]]
-    return (-i if base[1] == y else i) % e, e
 
 
 def _annihilators(C: Curve, A: Point, first: int, step: int, count: int):
@@ -261,48 +249,40 @@ def _annihilators(C: Curve, A: Point, first: int, step: int, count: int):
     of order 2 or an x seen before gives the exact order e of B, and one
     lookup of first*A then places k0.  Otherwise ord(B) > 2m, each giant
     window of 2m + 1 consecutive k holds at most one solution, and the scan
-    visits every window.  From m = _LAYER_MIN on, the baby steps and the
-    giant steps are each built whole as a _progression, in doubling layers
-    with one inversion per layer (Montgomery 1987), and then checked in the
-    order of the one-at-a-time steps below that, so the same step exits.
+    visits every window.  The baby steps and the giant steps are each built
+    whole as a _progression and then checked in order.
     """
     base = _mul(C, first, A)
     B = _mul(C, step, A)
     m = isqrt(count // 2) + 1
     table = {}  # x(j*B) -> (j, y(j*B)) for 1 <= j <= m
+    babies = _progression(C, B, B, m + 1)
+    for j, T in zip(range(1, m + 1), babies):
+        if T is None or T[1] == 0 or T[0] in table:
+            # j*B is O, of order 2, or -i*B for an i < j (i*B = j*B would
+            # have met O at step j - i): so e = ord(B), and with T the
+            # table holds +-i*B for every i*B != O in <B>
+            if T is None:
+                e = j
+            else:
+                e = 2 * j if T[1] == 0 else j + table[T[0]][0]
+                table.setdefault(T[0], (j, T[1]))
+            if base is None:
+                return 0, e
+            i, y = table[base[0]]
+            return (-i if base[1] == y else i) % e, e
+        table[T[0]] = (j, T[1])
     # giant steps: G = (first + c*step)*A at window centres c = m + i(2m + 1)
     windows = range(m, count + m, 2 * m + 1)
+    mB, T = babies[m - 1], babies[m]
     hits = []
-    if m < _LAYER_MIN:
-        T = B
-        for j in range(1, m + 1):
-            if T is None or T[1] == 0 or T[0] in table:
-                return _order_found(base, table, j, T)
-            table[T[0]] = (j, T[1])
-            mB, T = T, _add(C, T, B)
-        S = _add(C, mB, T)
-        G = _add(C, base, mB)
-        for c in windows:
-            if G is None:
-                hits.append(c)
-            elif G[0] in table:
-                j, y = table[G[0]]
-                hits.append(c - j if G[1] == y else c + j)
-            G = _add(C, G, S)
-    else:
-        babies = _progression(C, B, B, m + 1)
-        for j, T in zip(range(1, m + 1), babies):
-            if T is None or T[1] == 0 or T[0] in table:
-                return _order_found(base, table, j, T)
-            table[T[0]] = (j, T[1])
-        mB, T = babies[m - 1], babies[m]
-        giants = _progression(C, _add(C, base, mB), _add(C, mB, T), len(windows))
-        for c, G in zip(windows, giants):
-            if G is None:
-                hits.append(c)
-            elif G[0] in table:
-                j, y = table[G[0]]
-                hits.append(c - j if G[1] == y else c + j)
+    giants = _progression(C, _add(C, base, mB), _add(C, mB, T), len(windows))
+    for c, G in zip(windows, giants):
+        if G is None:
+            hits.append(c)
+        elif G[0] in table:
+            j, y = table[G[0]]
+            hits.append(c - j if G[1] == y else c + j)
     hits = [k for k in hits if k < count]
     return hits[0], (hits[1] - hits[0] if len(hits) > 1 else count)
 

@@ -44,30 +44,6 @@ class NotInTorsion(ValueError):
     """A point is not killed by ell, so it lies outside E[ell]."""
 
 
-class PairingValue:
-    """An ell-th root of unity in F_p."""
-
-    def __init__(self, curve: Curve, ell: int, value: int):
-        value %= curve.p
-        if value == 0 or pow(value, ell, curve.p) != 1:
-            raise ValueError(f"{value} is not an {ell}-th root of unity mod {curve.p}")
-        self.curve = curve
-        self.ell = ell
-        self.value = value
-
-    def __eq__(self, other):
-        return isinstance(other, PairingValue) and other.value == self.value
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return f"PairingValue({self.value} mod {self.curve.p})"
-
-    def is_trivial(self) -> bool:
-        return self.value == 1
-
-
 def _walk(C: Curve, ell: int, A: Point) -> tuple:
     """Miller's loop on an affine point A with nothing read yet: the walk
     A, 2A, ..., ell*A, one slope per step.  NotInTorsion if it meets O
@@ -130,7 +106,7 @@ def _read(C: Curve, walk: tuple, X: Point) -> tuple | None:
     return num, den
 
 
-def weil_pairing(C: Curve, ell: int, A: Point, B: Point) -> PairingValue:
+def weil_pairing(C: Curve, ell: int, A: Point, B: Point) -> int:
     """Weil pairing e_ell(A, B) for A, B in E[ell], valued in mu_ell < F_p*.
 
     Computed from two Miller functions as (-1)^ell f_B(A) / f_A(B)
@@ -141,7 +117,10 @@ def weil_pairing(C: Curve, ell: int, A: Point, B: Point) -> PairingValue:
     if (A is None) != (B is None):
         # with O in one slot _weil walks nothing: walk the other point
         _walk(C, ell, B if A is None else A)
-    return PairingValue(C, ell, _weil(C, ell, A, B))
+    value = _weil(C, ell, A, B)
+    if value == 0 or pow(value, ell, C.p) != 1:
+        raise ValueError(f"{value} is not an {ell}-th root of unity mod {C.p}")
+    return value
 
 
 def _weil(C: Curve, ell: int, A: Point, B: Point, walk: tuple = None) -> int:

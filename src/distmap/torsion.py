@@ -18,6 +18,7 @@ from .curve import (
     _add,
     _count_exhaustive,
     _mul,
+    _progression,
     _random_point,
     point_neg,
 )
@@ -90,7 +91,7 @@ class TorsionBasis:
     @cached_property
     def p_multiples(self) -> dict:
         """Table {a*P: a for a in 0 .. ell-1}, built on first use with
-        ell - 1 point additions and kept for the life of the basis."""
+        ell - 2 point additions and kept for the life of the basis."""
         return _multiples(self.curve, self.ell, self.P)
 
     def combine(self, a: int, b: int) -> Point:
@@ -103,12 +104,10 @@ class TorsionBasis:
 
 
 def _multiples(C: Curve, ell: int, A: Point) -> dict:
-    """Table {a*A: a for a in 0 .. ell-1}, by ell - 1 point additions."""
+    """Table {a*A: a for a in 0 .. ell-1}: O, then the ell - 1 points of a
+    _progression, by ell - 2 point additions."""
     table = {None: 0}
-    T: Point = None
-    for a in range(1, ell):
-        T = _add(C, T, A)
-        table[T] = a
+    table.update(zip(_progression(C, A, A, ell - 1), range(1, ell)))
     return table
 
 
@@ -175,7 +174,7 @@ def dlog2d(B: TorsionBasis, R: Point) -> tuple:
     The basis caches the multiples of P, so a point of <P> takes one
     lookup and no point addition.  Giant steps then walk R - Q, R - 2Q, ...
     until one lands in the table: at most ell - 1 point additions per
-    call, plus ell - 1 once per basis to build the table.  A walk that
+    call, plus ell - 2 once per basis to build the table.  A walk that
     ends without a hit is the E[ell] check: R is not killed by ell.
     """
     C, ell = B.curve, B.ell

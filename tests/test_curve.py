@@ -21,6 +21,7 @@ from distmap.curve import (
     _count_bsgs,
     _count_exhaustive,
     _mul,
+    _progression,
     count_points,
     point_add,
     point_neg,
@@ -260,31 +261,68 @@ def _annihilators_by_scan(C, A, first, step, count):
 P20 = 1048573  # the largest prime below 2^20
 
 
+@pytest.mark.parametrize("n", [1, 2, 39, 40, 41, 100])
+def test_progression_both_sides_of_layer_min(n):
+    # one _add per point below curve._LAYER_MIN = 40, doubling layers from
+    # there on: the same points either way
+    ex2, C20 = Curve(PrimeField(701), -35, 98), Curve(PrimeField(P20), 3, 7)
+    S5 = (224, 31)  # of order 5 on ex2
+    U, V = _lifted_points(C20, 0, 2)
+    (X,) = _lifted_points(ex2, 0, 1)
+    for C, G, S in [
+        (C20, U, U),  # G = S
+        (C20, U, V),  # G != S
+        (ex2, None, X),  # G = O
+        (ex2, S5, S5),  # O at i = 4, 9, ...
+        (ex2, _mul(ex2, 2, S5), S5),  # O at i = 3, 8, ...
+    ]:
+        want = [_add(C, G, _mul(C, i, S)) for i in range(n)]
+        assert _progression(C, G, S, n) == want, (C, G, S)
+
+
+# rows whose m + 1 baby steps reach curve._LAYER_MIN, so that both
+# progressions of _annihilators are built in layers
+_LAYERED_ROWS = [
+    # the Hasse interval of a curve at 2^20, #E = 1048550
+    (P20, 3, 7, None, P20 + 1 - 2047, 1, 4095),
+    (P20, 3, 7, None, 1048550 - 3 * 1500, 3, 4000),
+    # first*A = O
+    (P20, 3, 7, None, 1048550, 1, 4095),
+    (P20, 3, 7, None, 0, 7, 4000),
+    # B = step*A of order 2, 7 and 25 on ex2 (#E = 700): the baby steps
+    # exit early with the order of B
+    (701, -35, 98, (319, 0), 1, 1, 5000),
+    (701, -35, 98, None, 300, 100, 5000),
+    (701, -35, 98, None, 0, 28, 5000),
+    (701, -35, 98, None, 28 * 4, 28, 6000),
+    # ord(B) = 90 = 2m: the last baby step, 45*B, has order 2
+    (1009, 13, 1, (936, 748), 0, 1, 4000),
+    (1009, 13, 1, (936, 748), 7, 1, 4000),
+    # first*A = O at m = 39, the first m with m + 1 = _LAYER_MIN
+    (P20, 3, 7, None, 1048550, 1, 2900),
+]
+# rows below it, whose baby steps are added one at a time
+_SEQUENTIAL_ROWS = [
+    # the early exits above at count < 3000
+    (701, -35, 98, (319, 0), 1, 1, 2000),
+    (701, -35, 98, None, 300, 100, 2000),
+    (701, -35, 98, None, 0, 28, 2000),
+    (701, -35, 98, None, 28 * 4, 28, 2500),
+    # first*A = O at m = 38, the last m with m + 1 < _LAYER_MIN
+    (P20, 3, 7, None, 1048550, 1, 2800),
+    (P20, 3, 7, None, 0, 7, 2800),
+]
+
+
 @pytest.mark.parametrize(
-    "p,a4,a6,A,first,step,count",
-    [
-        # the Hasse interval of a curve at 2^20, #E = 1048550
-        (P20, 3, 7, None, P20 + 1 - 2047, 1, 4095),
-        (P20, 3, 7, None, 1048550 - 3 * 1500, 3, 4000),
-        # first*A = O
-        (P20, 3, 7, None, 1048550, 1, 4095),
-        (P20, 3, 7, None, 0, 7, 4000),
-        # B = step*A of order 2, 7 and 25 on ex2 (#E = 700): the baby steps
-        # exit early with the order of B
-        (701, -35, 98, (319, 0), 1, 1, 5000),
-        (701, -35, 98, None, 300, 100, 5000),
-        (701, -35, 98, None, 0, 28, 5000),
-        (701, -35, 98, None, 28 * 4, 28, 6000),
-        # ord(B) = 90 = 2m: the last baby step, 45*B, has order 2
-        (1009, 13, 1, (936, 748), 0, 1, 4000),
-        (1009, 13, 1, (936, 748), 7, 1, 4000),
-    ],
+    "p,a4,a6,A,first,step,count", _LAYERED_ROWS + _SEQUENTIAL_ROWS
 )
 def test_annihilators_layered_against_scan(p, a4, a6, A, first, step, count):
+    layered = (p, a4, a6, A, first, step, count) in _LAYERED_ROWS
     C = Curve(PrimeField(p), a4, a6)
     A = A or _lifted_points(C, first, 1)[0]
-    # these sizes take the layered baby and giant steps
-    assert isqrt(count // 2) + 1 >= curve._LAYER_MIN
+    # the baby steps are a _progression of m + 1 points
+    assert (isqrt(count // 2) + 2 >= curve._LAYER_MIN) == layered
     k0, e = _annihilators(C, A, first, step, count)
     assert list(range(k0, count, e)) == _annihilators_by_scan(C, A, first, step, count)
 

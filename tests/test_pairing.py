@@ -17,7 +17,6 @@ from distmap.curve import (
 from distmap.field import PrimeField
 from distmap.pairing import (
     NotInTorsion,
-    PairingValue,
     _read,
     _tate,
     _walk,
@@ -45,12 +44,12 @@ def torsion_points(C, B, ell):
     return pts
 
 
-def test_pairing_value_validates(ex2_curve):
-    PairingValue(ex2_curve, 5, 89)
-    with pytest.raises(ValueError):
-        PairingValue(ex2_curve, 5, 7)
-    with pytest.raises(ValueError):
-        PairingValue(ex2_curve, 5, 0)
+def test_pairing_value_validates(monkeypatch, ex2_curve):
+    # weil_pairing returns _weil's value only if it is a 5th root of unity
+    for value in (7, 0):
+        monkeypatch.setattr(pairing, "_weil", lambda *args: value)
+        with pytest.raises(ValueError, match=f"{value} is not an 5-th root"):
+            weil_pairing(ex2_curve, 5, (224, 31), (573, 450))
 
 
 def test_miller_order2_nonzero(ex2_curve):
@@ -70,17 +69,17 @@ def test_miller_collision(ex2_curve):
 
 def test_fifth_root_of_unity(basis5, ex2_curve):
     e = weil_pairing(ex2_curve, 5, basis5.P, basis5.Q)
-    assert pow(e.value, 5, 701) == 1
-    assert e.value != 1
+    assert pow(e, 5, 701) == 1
+    assert e != 1
 
 
 def test_alternating(basis5, ex2_curve):
-    assert weil_pairing(ex2_curve, 5, basis5.P, basis5.P).value == 1
+    assert weil_pairing(ex2_curve, 5, basis5.P, basis5.P) == 1
 
 
 def test_paper_value_464(ex2_curve):
     # pinned convention anchor
-    assert weil_pairing(ex2_curve, 5, (224, 31), (173, 194)).value == 464
+    assert weil_pairing(ex2_curve, 5, (224, 31), (173, 194)) == 464
 
 
 def test_second_pairing_is_inverse_of_89(ex2_curve):
@@ -89,13 +88,13 @@ def test_second_pairing_is_inverse_of_89(ex2_curve):
     # under one bilinear pairing: e(P, 2Q) = e(P,Q)^2 and e(Q, Q-P) = e(P,Q),
     # and 89^2 = 210 != 464 mod 701.  Under the 464-anchored convention the
     # second value is forced to 89^-1 = 638.
-    v = weil_pairing(ex2_curve, 5, (573, 450), (463, 495)).value
+    v = weil_pairing(ex2_curve, 5, (573, 450), (463, 495))
     assert v == 638
     assert v * 89 % 701 == 1
 
 
 def test_two_torsion_pairing(ex2_curve):
-    assert weil_pairing(ex2_curve, 2, (319, 0), (389, 0)).value == 700
+    assert weil_pairing(ex2_curve, 2, (319, 0), (389, 0)) == 700
 
 
 def test_not_torsion_rejected(ex2_curve):
@@ -104,7 +103,7 @@ def test_not_torsion_rejected(ex2_curve):
 
 
 def test_identity_argument(ex2_curve):
-    assert weil_pairing(ex2_curve, 5, None, (224, 31)).value == 1
+    assert weil_pairing(ex2_curve, 5, None, (224, 31)) == 1
 
 
 @pytest.mark.parametrize("A", [(319, 0), (693, 229)])
@@ -130,7 +129,7 @@ def test_public_pairing_checks_argument_beside_identity(ex2_curve):
         for pair in ((None, A), (A, None)):
             with pytest.raises(NotInTorsion, match=message):
                 weil_pairing(ex2_curve, 5, *pair)
-    assert weil_pairing(ex2_curve, 5, None, None).value == 1
+    assert weil_pairing(ex2_curve, 5, None, None) == 1
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5])
@@ -144,10 +143,10 @@ def test_bilinear_alternating_exhaustive(ell):
         C = Curve(PrimeField(701), -35, 98)
     B = find_torsion_basis(TorsionContext(ell, C, count_points(C)))
     pts = torsion_points(C, B, ell)
-    z = weil_pairing(C, ell, B.P, B.Q).value
+    z = weil_pairing(C, ell, B.P, B.Q)
     assert pow(z, ell, C.p) == 1 and z != 1  # nondegenerate, exact order ell
     for (a, b), (c, d) in itertools.product(pts, repeat=2):
-        v = weil_pairing(C, ell, pts[(a, b)], pts[(c, d)]).value
+        v = weil_pairing(C, ell, pts[(a, b)], pts[(c, d)])
         assert v == pow(z, (a * d - b * c) % ell, C.p)
         if (a, b) == (c, d):
             assert v == 1
@@ -157,8 +156,8 @@ def test_tiny_curve_two_torsion_fallback():
     # F_5 curve y^2 = x^3 + x has exactly 4 points, all 2-torsion: no
     # auxiliary offset point exists and the forced E[2] values apply
     C = Curve(PrimeField(5), 1, 0)
-    assert weil_pairing(C, 2, (0, 0), (2, 0)).value == 4
-    assert weil_pairing(C, 2, (0, 0), (0, 0)).value == 1
+    assert weil_pairing(C, 2, (0, 0), (2, 0)) == 4
+    assert weil_pairing(C, 2, (0, 0), (0, 0)) == 1
 
 
 def _line_value_ref(C, U, V, X):
@@ -310,7 +309,7 @@ def test_weil_matches_two_pass_ell31(basis31):
     rng = random.Random(31)
     for _ in range(300):
         U, V = (B.combine(rng.randrange(31), rng.randrange(31)) for _ in "UV")
-        assert weil_pairing(C, 31, U, V).value == _weil_ref(C, 31, U, V)
+        assert weil_pairing(C, 31, U, V) == _weil_ref(C, 31, U, V)
 
 
 def test_public_pairing_entries_validate(ex2_curve):

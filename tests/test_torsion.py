@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import lift
-from distmap import torsion
+from distmap import curve, torsion
 from distmap.curve import (
     Curve,
     FrobeniusData,
@@ -117,8 +117,7 @@ def test_find_basis_valid(ex2_curve, ex2_frob, ell):
     B = find_torsion_basis(ctx)
     assert scalar_mul(ex2_curve, ell, B.P) is None
     assert scalar_mul(ex2_curve, ell, B.Q) is None
-    e = weil_pairing(ex2_curve, ell, B.P, B.Q)
-    assert not e.is_trivial()
+    assert weil_pairing(ex2_curve, ell, B.P, B.Q) != 1
 
 
 def test_dlog_identity(basis5):
@@ -176,9 +175,32 @@ def test_dlog_rejects_order_prime_to_ell31(basis31):
 @pytest.mark.parametrize("ell", [2, 5, 7, 31])
 def test_dlog_point_add_counts(torsion_calls, monkeypatch, fresh_basis, ell):
     B = fresh_basis(ell)
-    assert torsion_calls["point_add"] == 0  # the table is built lazily
+    assert "p_multiples" not in vars(B)  # the table is built lazily
+    # the table's additions run in curve._progression: count each curve._add
+    # outside _add_each, and each _add_each call as one addition per sum
+    calls = {"add": 0}
+    add, add_each = curve._add, curve._add_each
+    batched = []  # nonempty inside _add_each, which counts its own _add calls
+
+    def counted_add(*args):
+        calls["add"] += not batched
+        return add(*args)
+
+    def counted_add_each(C, As, X):
+        calls["add"] += len(As)
+        batched.append(X)
+        sums = add_each(C, As, X)
+        batched.pop()
+        return sums
+
+    def additions():
+        return calls["add"] + torsion_calls["point_add"]
+
+    monkeypatch.setattr(curve, "_add", counted_add)
+    monkeypatch.setattr(curve, "_add_each", counted_add_each)
     table = B.p_multiples
-    assert torsion_calls["point_add"] == ell - 1
+    # O and P cost nothing, 2P .. (ell - 1)P one addition each
+    assert additions() == ell - 2
     assert table == {scalar_mul(B.curve, a, B.P): a for a in range(ell)}
     points = {(a, b): B.combine(a, b)
               for a, b in itertools.product(range(ell), repeat=2)}
@@ -190,10 +212,10 @@ def test_dlog_point_add_counts(torsion_calls, monkeypatch, fresh_basis, ell):
 
     monkeypatch.setattr(torsion, "_mul", counted_mul)
     for (a, b), R in points.items():
-        before = torsion_calls["point_add"]
+        before = additions()
         assert dlog2d(B, R) == (a, b)
         # a point of <P> is one lookup; any other takes b steps of the walk
-        assert torsion_calls["point_add"] - before == b
+        assert additions() - before == b
     # neither the basis nor the walk multiplies a point by ell: the
     # pairing's Miller loops and the walk itself are the E[ell] checks
     TorsionBasis(B.ctx, B.P, B.Q)
@@ -314,12 +336,28 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+BASES_ELL97 = [
+    ((1478373507, 766543494), (55041655, 1764971026)),
+    ((684538222, 405314077), (1063633654, 550797725)),
+    ((822114844, 1096326423), (308616423, 1729069257)),
+    ((997923388, 1526865315), (1157335554, 418678604)),
+    ((557229039, 366584133), (1257292055, 214370498)),
+    ((112042723, 1683712617), (650296685, 1610348492)),
+    ((1627513404, 450611466), (630968129, 929262742)),
+    ((997923388, 1526865315), (923596396, 484010917)),
+    ((794776426, 1376301117), (649874020, 1548724019)),
+    ((445897212, 925137108), (801386294, 1177365145)),
+]
+
+
 def test_find_basis_ell97(ctx97):
     # ell-part Z/97 x Z/97^3: a candidate in <P> is reduced by the first
-    # draw, not thrown away
+    # draw, not thrown away, through a table of the multiples of P built
+    # in layers (97 - 1 points, past curve._LAYER_MIN)
     with _deadline(10):
-        for seed in range(10):
+        for seed, (P, Q) in enumerate(BASES_ELL97):
             B = find_torsion_basis(ctx97, seed)
+            assert (B.P, B.Q) == (P, Q), seed
             assert _weil(ctx97.curve, 97, B.P, B.Q) != 1
 
 
