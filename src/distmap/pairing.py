@@ -123,15 +123,16 @@ def weil_pairing(C: Curve, ell: int, A: Point, B: Point) -> int:
     return value
 
 
-def _weil(C: Curve, ell: int, A: Point, B: Point, walk: tuple = None) -> int:
+def _weil(C: Curve, ell: int, A: Point, B: Point,
+          walk: tuple = None, walk_b: tuple = None) -> int:
     """weil_pairing's value without its checks, from the walks of A and B,
-    or from `walk` for A when the caller has recorded it: each walk checks
-    its base, and B in <A> lies in E[ell] when A does; 1 when A or B is O.
+    or from `walk` and `walk_b` when the caller has recorded them: each walk
+    checks its base, and B in <A> lies in E[ell] when A does; 1 for O.
     """
     if A is None or B is None:
         return 1
-    fa = _read(C, _walk(C, ell, A) if walk is None else walk, B)
-    fb = None if fa is None else _read(C, _walk(C, ell, B), A)
+    fa = _read(C, walk or _walk(C, ell, A), B)
+    fb = None if fa is None else _read(C, walk_b or _walk(C, ell, B), A)
     if fb is None:
         # a line of one walk vanished at the other point: B is in <A>,
         # where the pairing is trivial

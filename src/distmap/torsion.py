@@ -4,7 +4,7 @@ Requires the fully rational case E[ell] <= E(F_p), which forces
 t = 2 mod ell and q = 1 mod ell.
 
 No point is checked by computing ell*X = O: the Miller walks of e(P, Q)
-check a basis, and the walk of dlog2d checks the point it places.
+check a basis, and the walk of each point dlog2d places checks that point.
 """
 
 import random
@@ -65,24 +65,22 @@ class TorsionContext:
 
 
 class TorsionBasis:
-    """A pair (P, Q) generating E[ell] with primitive Weil pairing."""
+    """A basis (P, Q) of E[ell], zeta = e(P, Q) != 1 and the walks of P, Q."""
 
     def __init__(self, ctx: TorsionContext, P: Point, Q: Point):
         C, ell = ctx.curve, ctx.ell
         P, Q = C.validate(P), C.validate(Q)
         if P is None or Q is None:
             raise NotInTorsion(f"O does not have exact order {ell}")
-        # P's Miller walk, kept for the life of the basis: f_P then reads
-        # at any point with products only
-        walk = _walk(C, ell, P)
-        if _weil(C, ell, P, Q, walk) == 1:
+        self.p_walk, self.q_walk = _walk(C, ell, P), _walk(C, ell, Q)
+        self.zeta = _weil(C, ell, P, Q, self.p_walk, self.q_walk)
+        if self.zeta == 1:
             raise NotInTorsion("pairing e(P, Q) = 1: Q lies in <P>, not a basis")
         self.ctx = ctx
         self.curve = C
         self.ell = ell
         self.P = P
         self.Q = Q
-        self.p_walk = walk
         # phi -> (the equation that decides DDH on <P> with phi, phi's
         # checked images of <P>), or None when phi does not distort <P>;
         # filled in by ddh.ddh_decide
@@ -90,9 +88,17 @@ class TorsionBasis:
 
     @cached_property
     def p_multiples(self) -> dict:
-        """Table {a*P: a for a in 0 .. ell-1}, built on first use with
-        ell - 2 point additions and kept for the life of the basis."""
+        """Table {a*P: a for a in 0 .. ell-1} for DDH, built on first use
+        with ell - 2 point additions and kept for the life of the basis."""
         return _multiples(self.curve, self.ell, self.P)
+
+    @cached_property
+    def zeta_logs(self) -> dict:
+        """Table {zeta^i: i for i in 0 .. ell-1}, by ell products, for dlog2d."""
+        p, power, logs = self.curve.p, 1, {}
+        for i in range(self.ell):
+            logs[power], power = i, power * self.zeta % p
+        return logs
 
     def combine(self, a: int, b: int) -> Point:
         """a*P + b*Q."""
@@ -169,28 +175,21 @@ def find_torsion_basis(ctx: TorsionContext, seed: int = 0) -> TorsionBasis:
 
 
 def dlog2d(B: TorsionBasis, R: Point) -> tuple:
-    """The unique (a, b) mod ell with R = a*P + b*Q, by baby-step/giant-step.
-
-    The basis caches the multiples of P, so a point of <P> takes one
-    lookup and no point addition.  Giant steps then walk R - Q, R - 2Q, ...
-    until one lands in the table: at most ell - 1 point additions per
-    call, plus ell - 2 once per basis to build the table.  A walk that
-    ends without a hit is the E[ell] check: R is not killed by ell.
-    """
+    """The unique (a, b) mod ell with R = a*P + b*Q, by the MOV reduction
+    (Menezes-Okamoto-Vanstone, IEEE Trans. IT 39, 1993): e(R, Q) = zeta^a
+    and e(P, R) = zeta^b.  R's walk, its E[ell] check, is read at P and Q,
+    and the basis's walks at R: at most four reads, no point addition."""
     C, ell = B.curve, B.ell
     R = C.validate(R)
-    table = B.p_multiples
-    a = table.get(R)
-    if a is not None:
-        return (a, 0)
-    neg_Q = point_neg(C, B.Q)
-    T = R
-    for b in range(1, ell):
-        T = _add(C, T, neg_Q)
-        a = table.get(T)
-        if a is not None:
-            return (a, b)
-    raise NotInTorsion(f"{R} is not killed by {ell}")
+    if R is None:
+        return (0, 0)
+    try:
+        walk = _walk(C, ell, R)
+    except NotInTorsion as exc:
+        raise NotInTorsion(f"{R} is not killed by {ell}") from exc
+    logs = B.zeta_logs
+    return (logs[_weil(C, ell, R, B.Q, walk, B.q_walk)],
+            logs[_weil(C, ell, B.P, R, B.p_walk, walk)])
 
 
 def subgroup_lines(ell: int) -> list:

@@ -10,6 +10,8 @@ from distmap import (
     count_points,
     find_torsion_basis,
     make_catalog_endo,
+    point_add,
+    point_neg,
 )
 
 # CI runs the property tests under this profile (--hypothesis-profile=ci):
@@ -32,9 +34,32 @@ def lift(C, x):
     return (x, C.field.sqrt(C.rhs(x)))
 
 
+def dlog_reference(B, R):
+    """The (a, b) with R = a*P + b*Q by baby-step/giant-step on the checked
+    group law, with no pairing: a table of the multiples of P, then R - Q,
+    R - 2Q, ... until one lands in it; None when none does, as R then lies
+    outside E[ell]."""
+    C = B.curve
+    table, aP = {}, None
+    for a in range(B.ell):
+        table[aP] = a
+        aP = point_add(C, aP, B.P)
+    T, neg_Q = R, point_neg(C, B.Q)
+    for b in range(B.ell):
+        if T in table:
+            return (table[T], b)
+        T = point_add(C, T, neg_Q)
+    return None
+
+
 def _fresh_basis(ell):
-    """A newly built basis, with nothing cached yet, for ell in {2, 5, 7, 31}."""
-    if ell == 7:
+    """A newly built basis, with nothing cached yet, for ell in
+    {2, 3, 5, 7, 31}."""
+    if ell == 3:
+        # y^2 = x^3 + 2 over F_7: E(F_7) = E[3], order 9, t = -1 = 2 mod 3
+        C = Curve(PrimeField(7), 0, 2)
+        fd = count_points(C)
+    elif ell == 7:
         # y^2 = x^3 + 3 over F_43: order 49, t = -5 = 2 mod 7
         C = Curve(PrimeField(43), 0, 3)
         fd = count_points(C)
@@ -61,6 +86,11 @@ def basis31():
 def ctx97():
     C = Curve(PrimeField(P97), A97, 0)
     return TorsionContext(97, C, FrobeniusData(P97, N97, P97 + 1 - N97))
+
+
+@pytest.fixture(scope="session")
+def basis97(ctx97):
+    return find_torsion_basis(ctx97)
 
 
 @pytest.fixture(scope="session")

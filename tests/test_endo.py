@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import lift
+from conftest import dlog_reference, lift
 from distmap.catalog import get_entry
 from distmap.curve import Curve, count_points, point_add, point_neg, scalar_mul
 from distmap.endo import (
@@ -116,6 +116,19 @@ def test_matrix_split_basis(basis2, alpha):
     M = endo_matrix(alpha, basis2)
     assert M.entries == ((0, 0), (0, 1))
     assert quadratic_roots_mod(char_poly_mod_ell(M), 2) == [0, 1]
+
+
+def test_matrix_matches_reference_dlog(basis31, basis97):
+    # the columns are the baby-step/giant-step logs of phi(P) and phi(Q)
+    for B in (basis31, basis97):
+        i = make_catalog_endo("sqrt_minus_one", B.curve)
+        for phi in (i, shifted_endo(i, 1), shifted_endo(i, 5)):
+            (aP, aQ), (bP, bQ) = endo_matrix(phi, B).entries
+            assert dlog_reference(B, phi.image(B.P)) == (aP, bP), (B.ell, phi)
+            assert dlog_reference(B, phi.image(B.Q)) == (aQ, bQ), (B.ell, phi)
+    # the basis of seed 0 at ell = 97 is the CLI's: the matrix it prints
+    i97 = make_catalog_endo("sqrt_minus_one", basis97.curve)
+    assert endo_matrix(i97, basis97).entries == ((22, 78), (0, 75))
 
 
 def test_scalar_matrix(basis5, ex2_curve):

@@ -7,18 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import lift
-from distmap import curve, torsion
+from conftest import dlog_reference, lift
+from distmap import curve, endo, pairing, torsion
 from distmap.curve import (
     Curve,
     FrobeniusData,
-    _add,
     _mul,
     count_points,
-    point_add,
     point_neg,
     scalar_mul,
 )
+from distmap.endo import endo_matrix, make_catalog_endo
 from distmap.field import PrimeField
 from distmap.pairing import _weil, weil_pairing
 from distmap.torsion import (
@@ -32,36 +31,51 @@ from distmap.torsion import (
 )
 
 
-def _dlog_reference(B, R):
-    """Brute-force scan of all ell^2 combinations a*P + b*Q."""
-    C = B.curve
-    aP = None
-    for a in range(B.ell):
-        T = aP
-        for b in range(B.ell):
-            if T == R:
-                return (a, b)
-            T = point_add(C, T, B.Q)
-        aP = point_add(C, aP, B.P)
-    return None
+@pytest.fixture()
+def torsion_calls(monkeypatch):
+    """Counts the Weil pairings distmap.torsion makes, through the
+    unchecked core it calls (_weil)."""
+    calls = {"weil_pairing": 0}
+
+    def counted(*args):
+        calls["weil_pairing"] += 1
+        return _weil(*args)
+
+    monkeypatch.setattr(torsion, "_weil", counted)
+    return calls
 
 
 @pytest.fixture()
-def torsion_calls(monkeypatch):
-    """Counts the point additions and Weil pairings distmap.torsion makes,
-    through the unchecked cores it calls (_add and _weil)."""
-    calls = {"point_add": 0, "weil_pairing": 0}
+def op_counts(monkeypatch):
+    """Counts Miller walks and reads under each name the library imports
+    them by, point additions (each curve._add, which _mul calls, and each
+    curve._add_each call) and torsion._mul calls; the returned function
+    gives (walks, reads, additions, multiplications) since its last call."""
+    counts = {"walk": 0, "read": 0, "add": 0, "mul": 0}
 
     def counted(name, fn):
         def wrapper(*args):
-            calls[name] += 1
+            counts[name] += 1
             return fn(*args)
 
         return wrapper
 
-    monkeypatch.setattr(torsion, "_add", counted("point_add", _add))
-    monkeypatch.setattr(torsion, "_weil", counted("weil_pairing", _weil))
-    return calls
+    walk = counted("walk", pairing._walk)
+    add = counted("add", curve._add)
+    monkeypatch.setattr(pairing, "_walk", walk)
+    monkeypatch.setattr(torsion, "_walk", walk)
+    monkeypatch.setattr(pairing, "_read", counted("read", pairing._read))
+    for module in (curve, torsion, endo):
+        monkeypatch.setattr(module, "_add", add)
+    monkeypatch.setattr(curve, "_add_each", counted("add", curve._add_each))
+    monkeypatch.setattr(torsion, "_mul", counted("mul", _mul))
+
+    def taken():
+        values = tuple(counts.values())
+        counts.update(dict.fromkeys(counts, 0))
+        return values
+
+    return taken
 
 
 def test_paper_basis_ell5_validates(basis5):
@@ -133,17 +147,48 @@ def test_dlog_paper_image(basis5):
     assert dlog2d(basis5, (173, 194)) == (0, 2)
 
 
-@pytest.mark.parametrize("ell", [2, 5, 7])
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
 def test_dlog_round_trip_exhaustive(fresh_basis, ell):
     B = fresh_basis(ell)
     for a, b in itertools.product(range(ell), repeat=2):
         R = B.combine(a, b)
-        assert dlog2d(B, R) == _dlog_reference(B, R) == (a, b)
+        assert dlog2d(B, R) == dlog_reference(B, R) == (a, b)
 
 
 @given(a=st.integers(0, 30), b=st.integers(0, 30))
 def test_dlog_round_trip_ell31(basis31, a, b):
     assert dlog2d(basis31, basis31.combine(a, b)) == (a, b)
+
+
+@given(a=st.integers(0, 96), b=st.integers(0, 96))
+def test_dlog_round_trip_ell97(basis97, a, b):
+    assert dlog2d(basis97, basis97.combine(a, b)) == (a, b)
+
+
+def test_dlog_differential_small_curves():
+    # every y^2 = x^3 + a4*x + a6 over F_p, p < 60, with E[ell] rational
+    # for ell in {2, 3, 5}: the pairing log agrees with the baby-step/
+    # giant-step log on every point of E[ell]
+    bases = 0
+    with _deadline(60):
+        for p in [q for q in range(3, 60) if all(q % d for d in range(2, q))]:
+            F = PrimeField(p)
+            for a4, a6 in itertools.product(range(p), repeat=2):
+                try:
+                    C = Curve(F, a4, a6)
+                    frob = count_points(C)
+                except ValueError:  # singular or supersingular
+                    continue
+                for ell in (2, 3, 5):
+                    try:
+                        B = find_torsion_basis(TorsionContext(ell, C, frob))
+                    except ValueError:  # ell = p, or E[ell] not rational
+                        continue
+                    bases += 1
+                    for a, b in itertools.product(range(ell), repeat=2):
+                        R = B.combine(a, b)
+                        assert dlog2d(B, R) == dlog_reference(B, R) == (a, b), (C, ell)
+    assert bases == 2449
 
 
 def test_dlog_rejects_non_torsion(basis5, ex2_curve):
@@ -172,54 +217,46 @@ def test_dlog_rejects_order_prime_to_ell31(basis31):
         dlog2d(basis31, A)
 
 
-@pytest.mark.parametrize("ell", [2, 5, 7, 31])
-def test_dlog_point_add_counts(torsion_calls, monkeypatch, fresh_basis, ell):
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 31])
+def test_dlog_op_counts(op_counts, fresh_basis, ell):
     B = fresh_basis(ell)
-    assert "p_multiples" not in vars(B)  # the table is built lazily
-    # the table's additions run in curve._progression: count each curve._add
-    # outside _add_each, and each _add_each call as one addition per sum
-    calls = {"add": 0}
-    add, add_each = curve._add, curve._add_each
-    batched = []  # nonempty inside _add_each, which counts its own _add calls
-
-    def counted_add(*args):
-        calls["add"] += not batched
-        return add(*args)
-
-    def counted_add_each(C, As, X):
-        calls["add"] += len(As)
-        batched.append(X)
-        sums = add_each(C, As, X)
-        batched.pop()
-        return sums
-
-    def additions():
-        return calls["add"] + torsion_calls["point_add"]
-
-    monkeypatch.setattr(curve, "_add", counted_add)
-    monkeypatch.setattr(curve, "_add_each", counted_add_each)
-    table = B.p_multiples
-    # O and P cost nothing, 2P .. (ell - 1)P one addition each
-    assert additions() == ell - 2
-    assert table == {scalar_mul(B.curve, a, B.P): a for a in range(ell)}
     points = {(a, b): B.combine(a, b)
               for a, b in itertools.product(range(ell), repeat=2)}
-    muls = []
-
-    def counted_mul(C, k, A):
-        muls.append(k)
-        return _mul(C, k, A)
-
-    monkeypatch.setattr(torsion, "_mul", counted_mul)
+    op_counts()
+    # the basis walks P and Q once each, for e(P, Q), and neither it nor
+    # dlog2d multiplies a point by ell: the walks are the E[ell] checks
+    B = TorsionBasis(B.ctx, B.P, B.Q)
+    assert op_counts() == (2, 2, 0, 0)
     for (a, b), R in points.items():
-        before = additions()
         assert dlog2d(B, R) == (a, b)
-        # a point of <P> is one lookup; any other takes b steps of the walk
-        assert additions() - before == b
-    # neither the basis nor the walk multiplies a point by ell: the
-    # pairing's Miller loops and the walk itself are the E[ell] checks
-    TorsionBasis(B.ctx, B.P, B.Q)
-    assert muls == []
+        # O takes nothing; any other point one walk, read at P and at Q,
+        # with the basis's walks read at the point: four reads, or three
+        # where a line of one walk vanishes at the other point, which
+        # happens only for a point of <P> or <Q>
+        counts = op_counts()
+        if R is None:
+            assert counts == (0, 0, 0, 0)
+        elif a and b:
+            assert counts == (1, 4, 0, 0), (a, b)
+        else:
+            assert counts in {(1, 3, 0, 0), (1, 4, 0, 0)}, (a, b)
+    assert "p_multiples" not in vars(B)
+    # DDH's table of the multiples of P, sequential below curve._LAYER_MIN
+    # points: O and P cost nothing, 2P .. (ell - 1)P one addition each
+    table = B.p_multiples
+    assert op_counts() == (0, 0, ell - 2, 0)
+    assert table == {scalar_mul(B.curve, a, B.P): a for a in range(ell)}
+
+
+def test_endo_matrix_op_counts(op_counts, basis31):
+    # [i] at ell = 31 moves P and Q off <P> and <Q>: two walks, eight reads
+    phi = make_catalog_endo("sqrt_minus_one", basis31.curve)
+    B = TorsionBasis(basis31.ctx, basis31.P, basis31.Q)
+    op_counts()
+    M = endo_matrix(phi, B)
+    assert all(x for row in M.entries for x in row)
+    assert op_counts() == (2, 8, 0, 0)
+    assert "p_multiples" not in vars(B)
 
 
 def test_find_basis_one_pairing_per_candidate(
