@@ -1,8 +1,8 @@
 """Decision Diffie-Hellman on <P> via a distortion map and a pairing.
 
-phi distorts <P> when it moves P out of its own line: phi(P) not in <P>,
-one lookup in the table of the multiples of P.  Then for a triple
-(R, S, T) of points in <P>, the check
+phi distorts <P> when phi(P) lies outside <P>, that is when
+e_ell(P, phi(P)) != 1 (Verheul, Eurocrypt 2001; Galbraith-Rotger, LMS
+JCM 7, 2004).  Then for a triple (R, S, T) of points in <P>, the check
 
     e_ell(R, phi(S)) == e_ell(P, phi(T))
 
@@ -19,18 +19,18 @@ recorded one read at phi(T).  The verdict and the equation are chosen once
 per basis and phi.
 
 The images of phi are read, not walked, so phi is checked once per basis
-and phi on all of <P>: phi(bP) must be b*phi(P), one lookup each in the
-table of the multiples of phi(P), or NotAHomomorphism is raised.  The
-images are then kept with the equation, and a decision reads phi(S) and
-phi(T) from them without evaluating phi.
+and phi on all of <P>: b*P and b*phi(P) are built side by side, and
+phi(bP) must be b*phi(P), or NotAHomomorphism is raised.  The images
+{b*P: phi(b*P)} are kept with the equation; their keys are <P>, and a
+decision reads phi(S) and phi(T) from them without evaluating phi.
 """
 
 import random
 
-from .curve import Point, PointNotOnCurve, _mul
+from .curve import Curve, Point, PointNotOnCurve, _mul, _progression
 from .endo import IncompatibleCurve, RationalEndomorphism
 from .pairing import _read, _tate, _walk, _weil
-from .torsion import TorsionBasis, _multiples
+from .torsion import TorsionBasis
 
 
 class NotADistortionMap(ValueError):
@@ -57,16 +57,14 @@ class DdhInstance:
         return f"DdhInstance(base={self.base}, triple={self.triple})"
 
 
-def _member(B: TorsionBasis, A: Point) -> Point:
-    """A, validated, if it lies in <P>; raises InstanceInvalid otherwise.
-
-    The basis's table of the multiples of P holds exactly the points of
-    <P>, so membership is one lookup."""
+def _member(C: Curve, images: dict, A: Point) -> Point:
+    """A, validated, if it lies in <P>, the keys of phi's checked images:
+    one lookup; raises InstanceInvalid otherwise."""
     try:
-        V = B.curve.validate(A)
+        V = C.validate(A)
     except PointNotOnCurve as exc:
         raise InstanceInvalid(f"{A} is not on the curve") from exc
-    if V not in B.p_multiples:
+    if V not in images:
         raise InstanceInvalid(f"{A} is not in <P>")
     return V
 
@@ -93,25 +91,26 @@ def _tate_equation(B: TorsionBasis, R: Point, X: Point, Y: Point) -> bool:
 
 def _rule(B: TorsionBasis, phi: RationalEndomorphism):
     """(equation, images) that decide DDH on <P> with phi, or None when phi
-    does not distort <P>; chosen once per basis and phi and kept on the
-    basis.  images is {b*P: phi(b*P)}, each checked to be b*phi(P)."""
+    does not distort <P>, chosen once per basis and phi and kept on it.
+    The verdict e(P, phi(P)) != 1 walks nothing for phi(P) in <P>, where a
+    line of P's recorded walk vanishes; else it walks phi(P), its E[ell]
+    check.  images is {b*P: phi(b*P)}, each checked to be b*phi(P)."""
     if phi not in B.distorts:
         if phi.curve != B.curve:
             raise IncompatibleCurve("endomorphism and basis live on different curves")
         C, ell, P = B.curve, B.ell, B.P
         image = phi.image(P)
-        if image in B.p_multiples:
+        if _weil(C, ell, P, image, B.p_walk) == 1:
             B.distorts[phi] = None
             return None
-        _walk(C, ell, image)  # the E[ell] check of phi(P)
-        multiples = _multiples(C, ell, image)
         images = {}
-        for S, b in B.p_multiples.items():
+        multiples = zip(_progression(C, P, P, ell - 1),
+                        _progression(C, image, image, ell - 1))
+        for b, (S, bimage) in enumerate([(None, None), *multiples]):
             X = images[S] = phi.image(S)
-            if multiples.get(X) != b:
-                raise NotAHomomorphism(
-                    f"{phi.label} sends {S} = {b}P to {X}, not to {b}*phi(P)"
-                )
+            if X != bimage:
+                raise NotAHomomorphism(f"{phi.label} sends {S} = {b}P to {X}, "
+                                       f"not to {b}*phi(P)")
         tate = _tate(C, ell, P, image, B.p_walk) != 1
         B.distorts[phi] = (_tate_equation if tate else _weil_equation, images)
     return B.distorts[phi]
@@ -127,9 +126,9 @@ def ddh_decide(B: TorsionBasis, phi: RationalEndomorphism, inst: DdhInstance) ->
             f"{phi.label} does not distort <P>: phi(P) lies in <P>, cannot decide DDH"
         )
     equation, images = rule
-    # one validate and one table lookup per member; the canonical points
-    # returned key phi's checked images
-    R, S, T = (_member(B, A) for A in inst.triple)
+    # one validate and one lookup in phi's checked images per member; the
+    # canonical points returned key those images
+    R, S, T = (_member(B.curve, images, A) for A in inst.triple)
     return equation(B, R, images[S], images[T])
 
 

@@ -65,7 +65,8 @@ class TorsionContext:
 
 
 class TorsionBasis:
-    """A basis (P, Q) of E[ell], zeta = e(P, Q) != 1 and the walks of P, Q."""
+    """A basis (P, Q) of E[ell], zeta = e(P, Q) != 1, the walks of P and Q,
+    and the DDH rule of each phi on <P>."""
 
     def __init__(self, ctx: TorsionContext, P: Point, Q: Point):
         C, ell = ctx.curve, ctx.ell
@@ -81,16 +82,10 @@ class TorsionBasis:
         self.ell = ell
         self.P = P
         self.Q = Q
-        # phi -> (the equation that decides DDH on <P> with phi, phi's
-        # checked images of <P>), or None when phi does not distort <P>;
-        # filled in by ddh.ddh_decide
+        # phi -> (the equation that decides DDH on <P> with phi,
+        # {b*P: phi(b*P)} for b in 0 .. ell-1, each checked), or None when
+        # phi does not distort <P>; filled in by ddh._rule
         self.distorts = {}
-
-    @cached_property
-    def p_multiples(self) -> dict:
-        """Table {a*P: a for a in 0 .. ell-1} for DDH, built on first use
-        with ell - 2 point additions and kept for the life of the basis."""
-        return _multiples(self.curve, self.ell, self.P)
 
     @cached_property
     def zeta_logs(self) -> dict:
@@ -107,14 +102,6 @@ class TorsionBasis:
 
     def __repr__(self):
         return f"TorsionBasis(ell={self.ell}, P={self.P}, Q={self.Q})"
-
-
-def _multiples(C: Curve, ell: int, A: Point) -> dict:
-    """Table {a*A: a for a in 0 .. ell-1}: O, then the ell - 1 points of a
-    _progression, by ell - 2 point additions."""
-    table = {None: 0}
-    table.update(zip(_progression(C, A, A, ell - 1), range(1, ell)))
-    return table
 
 
 def _order(C: Curve, ell: int, v: int, A: Point) -> tuple:
@@ -166,8 +153,8 @@ def find_torsion_basis(ctx: TorsionContext, seed: int = 0) -> TorsionBasis:
                 if h == 1:
                     break  # B = Q = s*P reduces to O
             if table is None:
-                table = _multiples(C, ell, P)
-            s = table[Q]
+                table = [None, *_progression(C, P, P, ell - 1)]
+            s = table.index(Q)
             if h > k:
                 A0, k = _mul(C, pow(s, -1, ell), B), h
                 break

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import settings
 
@@ -26,6 +28,36 @@ P31, A31, N31 = 1437396469, 529490715, 1437396530
 # y^2 = x^3 + A*x over F_p with #E = 20 * 97^4 and ell-part Z/97 x Z/97^3:
 # a draw walked down to order 97 lies in <P> about 96 times in 97
 P97, A97, N97 = 1770504529, 1255580575, 1770585620
+
+
+@pytest.fixture()
+def count_calls(monkeypatch):
+    """count(owner, name) wraps owner.name, under owner and under every
+    distmap module that binds the same function by that name, and returns
+    the list of the argument tuples of every call from now on."""
+
+    def count(owner, name):
+        fn, calls = getattr(owner, name), []
+
+        def counted(*args):
+            calls.append(args)
+            return fn(*args)
+
+        modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "distmap"]
+        for where in (owner, *modules):
+            if getattr(where, name, None) is fn:
+                monkeypatch.setattr(where, name, counted)
+        return calls
+
+    return count
+
+
+def taken(*calls):
+    """The lengths of the call lists, which are then cleared."""
+    counts = tuple(map(len, calls))
+    for c in calls:
+        c.clear()
+    return counts
 
 
 def lift(C, x):

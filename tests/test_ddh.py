@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from distmap import curve, ddh, endo, pairing, torsion
+from conftest import taken
+from distmap import curve, ddh, pairing
 from distmap.curve import Curve, count_points, point_add, scalar_mul
 from distmap.ddh import (
     DdhInstance,
@@ -22,7 +23,7 @@ from distmap.endo import (
     shifted_endo,
 )
 from distmap.field import PrimeField, ZeroInverse
-from distmap.pairing import weil_pairing
+from distmap.pairing import NotInTorsion, weil_pairing
 from distmap.torsion import (
     TorsionBasis,
     TorsionContext,
@@ -86,15 +87,15 @@ def test_member_outside_torsion_is_invalid(basis5, alpha, A):
 
 
 def test_internal_dlog_fault_propagates(basis5, alpha, ex2_curve, monkeypatch):
-    # a fault in the table of dlogs behind membership is no invalid
-    # instance: it must surface as itself
-    def broken(B):
+    # a fault while building <P> and phi's images, behind membership, is no
+    # invalid instance: it must surface as itself
+    def broken(*args):
         raise ZeroInverse("inverse of 0")
 
-    monkeypatch.setattr(TorsionBasis, "p_multiples", property(broken))
+    monkeypatch.setattr(ddh, "_progression", broken)
     inst = triple_of(ex2_curve, basis5.P, 2, 3, 6)
     with pytest.raises(ZeroInverse):
-        ddh_decide(basis5, alpha, inst)
+        ddh_decide(_fresh(basis5), alpha, inst)
 
 
 def test_exhaustive_soundness_ell5(basis5, alpha, ex2_curve):
@@ -182,60 +183,16 @@ def _fresh(B):
     return TorsionBasis(B.ctx, B.P, B.Q)
 
 
-@pytest.fixture()
-def validate_calls(monkeypatch):
-    calls = []
-    validate = Curve.validate
-
-    def counted(self, A):
-        calls.append(A)
-        return validate(self, A)
-
-    monkeypatch.setattr(Curve, "validate", counted)
-    return calls
+def _miller_calls(count_calls):
+    """The call lists of _weil, of every Miller walk and of every reading
+    of one, of a Weil or a Tate pairing alike, under each name the library
+    imports them by."""
+    return [count_calls(module, name) for module, name in (
+        (pairing, "_weil"), (pairing, "_walk"), (pairing, "_read"))]
 
 
-def _counted(monkeypatch, module, name):
-    """The argument tuples of every call to module.name from now on."""
-    calls = []
-    f = getattr(module, name)
-
-    def counted(*args):
-        calls.append(args)
-        return f(*args)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-@pytest.fixture()
-def weil_calls(monkeypatch):
-    return _counted(monkeypatch, ddh, "_weil")
-
-
-@pytest.fixture()
-def miller_calls(monkeypatch):
-    """Every Miller walk and every reading of one, of a Weil or a Tate
-    pairing alike, under each name the library imports them by."""
-    calls = {}
-    for name in ("_walk", "_read"):
-        calls[name] = _counted(monkeypatch, pairing, name)
-        monkeypatch.setattr(ddh, name, getattr(pairing, name))
-    monkeypatch.setattr(torsion, "_walk", pairing._walk)
-    return calls
-
-
-def _walks_reads(calls):
-    """(walks, reads) since the counts were last cleared, then clears them."""
-    counts = (len(calls["_walk"]), len(calls["_read"]))
-    for c in calls.values():
-        c.clear()
-    return counts
-
-
-def test_validate_calls_per_decision_flat_in_ell(
-    validate_calls, basis5, alpha, basis31
-):
+def test_validate_calls_per_decision_flat_in_ell(count_calls, basis5, alpha, basis31):
+    validate_calls = count_calls(Curve, "validate")
     phi31 = make_catalog_endo("sqrt_minus_one", basis31.curve)
     per_decision = {}
     for B, phi in ((basis5, alpha), (basis31, phi31)):
@@ -252,38 +209,44 @@ def test_validate_calls_per_decision_flat_in_ell(
     assert per_decision[5] == per_decision[31] == {4}
 
 
-def test_distortion_check_paired_once_per_phi(weil_calls, miller_calls, basis5, alpha):
-    # the verdict phi(P) not in <P> is a table lookup, with no Weil
-    # pairing; a cold decision then walks phi(P) once for its E[ell] check
-    # and reads P's walk, recorded by the basis, at phi(P) for the Tate
-    # check t(P, phi(P)), before the one walk and two reads of the Tate
-    # equation
+def test_distortion_check_paired_once_per_phi(count_calls, basis5, alpha):
+    # the verdict e(P, phi(P)) != 1 is one Weil pairing: P's walk, recorded
+    # by the basis, read at phi(P), and phi(P) walked, its E[ell] check,
+    # and read at P.  The Tate check t(P, phi(P)) reads P's walk at phi(P)
+    # again, and <P> and phi's images are built as two progressions of
+    # ell - 2 additions each, before the one walk and two reads of the
+    # Tate equation
+    calls = _miller_calls(count_calls)
+    adds = count_calls(curve, "_add")
     B = _fresh(basis5)
     inst = ddh_sample(B, honest=True, seed=1)
-    _walks_reads(miller_calls)  # the basis's own e(P, Q)
+    taken(*calls, adds)  # the basis's own e(P, Q), and the sample
     ddh_decide(B, alpha, inst)
-    assert (len(weil_calls), *_walks_reads(miller_calls)) == (0, 2, 3)
+    assert taken(*calls, adds) == (1, 2, 5, 2 * (5 - 2))
     for seed in range(4):
-        weil_calls.clear()
-        ddh_decide(B, alpha, ddh_sample(B, honest=seed % 2 == 0, seed=seed))
-        assert (len(weil_calls), *_walks_reads(miller_calls)) == (0, 1, 2)
-    weil_calls.clear()
+        warm = ddh_sample(B, honest=seed % 2 == 0, seed=seed)
+        taken(*calls, adds)
+        ddh_decide(B, alpha, warm)
+        assert taken(*calls, adds) == (0, 1, 2, 0)
     ddh_decide(B, shifted_endo(alpha, 1), inst)  # a new phi: checked afresh
-    assert (len(weil_calls), *_walks_reads(miller_calls)) == (0, 2, 3)
+    assert taken(*calls) == (1, 2, 5)
     assert len(B.distorts) == 2
 
 
-def test_cached_non_distortion_still_raises(weil_calls, miller_calls, basis5, ex2_curve):
-    # 2P lies in <P>: one table lookup, no pairing; the second call raises
-    # from the cache
+def test_cached_non_distortion_still_raises(count_calls, basis5, ex2_curve):
+    # 2P lies in <P>: the Weil pairing e(P, 2P) reads P's recorded walk at
+    # 2P, where a line of it vanishes, so it walks nothing and no multiples
+    # are built; the second call raises from the cache
+    calls = _miller_calls(count_calls)
+    tables = count_calls(curve, "_progression")
     B = _fresh(basis5)
     phi = make_catalog_endo("scalar(2)", ex2_curve)
     inst = triple_of(ex2_curve, B.P, 2, 3, 6)
-    _walks_reads(miller_calls)  # the basis's own e(P, Q)
+    taken(*calls)  # the basis's own e(P, Q)
     for _ in range(2):
         with pytest.raises(NotADistortionMap, match=r"phi\(P\) lies in <P>"):
             ddh_decide(B, phi, inst)
-    assert (len(weil_calls), *_walks_reads(miller_calls)) == (0, 0, 0)
+    assert taken(*calls, tables) == (1, 0, 1, 0)
     assert B.distorts[phi] is None
 
 
@@ -292,7 +255,7 @@ def test_cached_non_distortion_still_raises(weil_calls, miller_calls, basis5, ex
     ("[i] at ell = 31", 2),
     ("alpha + scalar(2) on ex2", 4),
 ])
-def test_miller_loops_per_warm_decision(miller_calls, basis5, basis31, alpha, case, reads):
+def test_miller_loops_per_warm_decision(count_calls, basis5, basis31, alpha, case, reads):
     # the Tate equation reads one Miller function per side; the Weil
     # equation, kept where t(P, phi(P)) = 1, reads two.  Every read but
     # one is of a fresh walk: f_P(phi(T)) reads P's recorded walk
@@ -305,11 +268,12 @@ def test_miller_loops_per_warm_decision(miller_calls, basis5, basis31, alpha, ca
     insts = [triple_of(B.curve, B.P, a, b, c)
              for a, b, c in ((2, 3, 6), (1, 1, 1), (3, 4, 2), (4, 4, 1), (2, 2, 3))]
     ddh_decide(B, phi, insts[0])  # warm: tables and caches filled
+    _, walk_calls, read_calls = _miller_calls(count_calls)
     counts = set()
     for inst in insts:
-        _walks_reads(miller_calls)
+        taken(walk_calls, read_calls)
         ddh_decide(B, phi, inst)
-        counts.add(_walks_reads(miller_calls))
+        counts.add(taken(walk_calls, read_calls))
     assert counts == {(reads - 1, reads)}
 
 
@@ -410,6 +374,19 @@ def test_image_outside_torsion_raises_under_weil_rule(basis5, alpha):
     _order7_image_raises(basis5, shifted_endo(alpha, 2))
 
 
+def test_image_of_p_outside_torsion_raises(basis5, alpha):
+    # phi(P) of order 7: the verdict e(P, phi(P)) walks phi(P), which is its
+    # E[ell] check, and the map is not cached
+    C, B, order7 = basis5.curve, _fresh(basis5), (693, 229)
+    fake = RationalEndomorphism(
+        C, "fake", trace=alpha.trace, norm=alpha.norm,
+        image=lambda A: order7 if A == B.P else alpha.image(A),
+    )
+    with pytest.raises(NotInTorsion, match=re.escape(f"{order7} does not have exact order 5")):
+        ddh_decide(B, fake, triple_of(C, B.P, 2, 3, 6))
+    assert fake not in B.distorts
+
+
 @pytest.mark.parametrize("shift", ["Q", "P"])
 def test_image_in_torsion_off_its_multiple_raises(basis5, alpha, ex2_curve, shift):
     # a map equal to alpha except 3P -> alpha(3P) + Q (or + P) keeps its
@@ -453,6 +430,27 @@ def test_table_verdict_matches_weil_test(basis5, basis31, alpha, ex2_curve):
     assert verdicts.count(False) == 5 and verdicts.count(True) == 36
 
 
+def test_ddh_past_layer_min_ell97(basis97):
+    # at ell = 97 both progressions of the rule, <P> and phi's images of
+    # it, are built in layers.  The seed-0 P lies on an eigenline of [i]
+    # (endo-matrix prints matrix=22,78;0,75), so [i] does not distort <P>;
+    # with P and Q swapped, [i] moves P' = Q off <P'> and decides DDH
+    assert 97 - 1 >= curve._LAYER_MIN
+    C = basis97.curve
+    phi = make_catalog_endo("sqrt_minus_one", C)
+    with pytest.raises(NotADistortionMap):
+        ddh_decide(_fresh(basis97), phi, triple_of(C, basis97.P, 2, 3, 6))
+    B = TorsionBasis(basis97.ctx, basis97.Q, basis97.P)
+    for seed in range(50):
+        inst = ddh_sample(B, honest=seed % 2 == 0, seed=seed)
+        a, b, c = inst.truth
+        assert ddh_decide(B, phi, inst) == (a * b % 97 == c), seed
+    image = phi.image(B.P)
+    assert B.distorts[phi][1] == {
+        scalar_mul(C, b, B.P): scalar_mul(C, b, image) for b in range(97)
+    }
+
+
 def test_map_on_another_curve_rejected(basis5, ex2_curve):
     # y^2 = x^3 + a4*x over F_701 through P = (224, 31): [i] is defined on
     # that curve and accepts P, but sends it off the basis's curve; the
@@ -466,25 +464,10 @@ def test_map_on_another_curve_rejected(basis5, ex2_curve):
         ddh_decide(_fresh(basis5), phi, inst)
 
 
-@pytest.fixture()
-def add_calls(monkeypatch):
-    """Counts every point addition: curve._add, which _mul calls, under
-    each name the library imports it by."""
-    calls = []
-    add = curve._add
-
-    def counted(*args):
-        calls.append(args)
-        return add(*args)
-
-    for module in (curve, torsion, endo):
-        monkeypatch.setattr(module, "_add", counted)
-    return calls
-
-
-def test_warm_decision_adds_no_point(add_calls, basis5, alpha, basis31):
-    # R, S and T of <P> are one table lookup each, and so is each image of
-    # phi in the table of <phi(P)>: no point addition at all
+def test_warm_decision_adds_no_point(count_calls, basis5, alpha, basis31):
+    # R, S and T of <P> are one lookup each in phi's checked images, which
+    # also hold phi(S) and phi(T): no point addition at all
+    add_calls = count_calls(curve, "_add")
     phi31 = make_catalog_endo("sqrt_minus_one", basis31.curve)
     for B, phi in ((basis5, alpha), (basis31, phi31)):
         insts = [ddh_sample(B, honest=s % 2 == 0, seed=s) for s in range(6)]
@@ -518,7 +501,7 @@ def test_warm_decision_evaluates_phi_never(basis5, alpha, basis31):
         assert calls == [], B.ell
 
 
-def test_ddh_differential_small_curves(weil_calls):
+def test_ddh_differential_small_curves():
     # every y^2 = x^3 + a4*x over F_p, p = 1 mod 4, 5 <= p < 110, with
     # E[ell] rational for ell in {2, 3, 5}, and every phi = [i] + k: a map
     # that distorts <P> (e(P, phi(P)) != 1) decides all ell^3 triples as
@@ -543,9 +526,9 @@ def test_ddh_differential_small_curves(weil_calls):
                         with pytest.raises(NotADistortionMap):
                             ddh_decide(B, phi, triple_of(C, B.P, 1, 1, 1))
                         continue
-                    weil_calls.clear()
                     for a, b, c in itertools.product(range(ell), repeat=3):
                         inst = triple_of(C, B.P, a, b, c)
                         assert ddh_decide(B, phi, inst) == (a * b % ell == c), (C, ell, k)
-                    equations.add("Weil" if weil_calls else "Tate")
+                    weil = B.distorts[phi][0] is ddh._weil_equation
+                    equations.add("Weil" if weil else "Tate")
     assert equations == {"Tate", "Weil"}

@@ -322,21 +322,8 @@ def test_public_pairing_entries_validate(ex2_curve):
         weil_pairing(ex2_curve, 5, P, (319, 0))
 
 
-def _counted(monkeypatch, name):
-    """The argument tuples of every call to pairing.name from now on."""
-    calls = []
-    f = getattr(pairing, name)
-
-    def counted(*args):
-        calls.append(args)
-        return f(*args)
-
-    monkeypatch.setattr(pairing, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("ell", [2, 5, 31])
-def test_two_miller_loops_per_pairing(monkeypatch, ell, basis5, basis31):
+def test_two_miller_loops_per_pairing(count_calls, ell, basis5, basis31):
     # one walk per argument, each read once at the other argument; a walk
     # handed in is read, not walked again
     if ell == 2:
@@ -344,7 +331,7 @@ def test_two_miller_loops_per_pairing(monkeypatch, ell, basis5, basis31):
     else:
         basis = basis5 if ell == 5 else basis31
         C, A, B = basis.curve, basis.P, basis.Q
-    walks, reads = _counted(monkeypatch, "_walk"), _counted(monkeypatch, "_read")
+    walks, reads = count_calls(pairing, "_walk"), count_calls(pairing, "_read")
     e = _weil(C, ell, A, B)
     assert e != 1
     assert (len(walks), len(reads)) == (2, 2)

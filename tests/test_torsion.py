@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dlog_reference, lift
-from distmap import curve, endo, pairing, torsion
+from conftest import dlog_reference, lift, taken
+from distmap import curve, pairing, torsion
 from distmap.curve import (
     Curve,
     FrobeniusData,
@@ -31,51 +31,13 @@ from distmap.torsion import (
 )
 
 
-@pytest.fixture()
-def torsion_calls(monkeypatch):
-    """Counts the Weil pairings distmap.torsion makes, through the
-    unchecked core it calls (_weil)."""
-    calls = {"weil_pairing": 0}
-
-    def counted(*args):
-        calls["weil_pairing"] += 1
-        return _weil(*args)
-
-    monkeypatch.setattr(torsion, "_weil", counted)
-    return calls
-
-
-@pytest.fixture()
-def op_counts(monkeypatch):
-    """Counts Miller walks and reads under each name the library imports
-    them by, point additions (each curve._add, which _mul calls, and each
-    curve._add_each call) and torsion._mul calls; the returned function
-    gives (walks, reads, additions, multiplications) since its last call."""
-    counts = {"walk": 0, "read": 0, "add": 0, "mul": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    walk = counted("walk", pairing._walk)
-    add = counted("add", curve._add)
-    monkeypatch.setattr(pairing, "_walk", walk)
-    monkeypatch.setattr(torsion, "_walk", walk)
-    monkeypatch.setattr(pairing, "_read", counted("read", pairing._read))
-    for module in (curve, torsion, endo):
-        monkeypatch.setattr(module, "_add", add)
-    monkeypatch.setattr(curve, "_add_each", counted("add", curve._add_each))
-    monkeypatch.setattr(torsion, "_mul", counted("mul", _mul))
-
-    def taken():
-        values = tuple(counts.values())
-        counts.update(dict.fromkeys(counts, 0))
-        return values
-
-    return taken
+def _ops(count_calls):
+    """The call lists of Miller walks and reads, of point additions (each
+    _add, which _mul calls, and each batched _add_each call) and of _mul,
+    under each name the library imports them by."""
+    return [count_calls(module, name) for module, name in (
+        (pairing, "_walk"), (pairing, "_read"), (curve, "_add"),
+        (curve, "_add_each"), (curve, "_mul"))]
 
 
 def test_paper_basis_ell5_validates(basis5):
@@ -218,68 +180,51 @@ def test_dlog_rejects_order_prime_to_ell31(basis31):
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5, 7, 31])
-def test_dlog_op_counts(op_counts, fresh_basis, ell):
+def test_dlog_op_counts(count_calls, fresh_basis, ell):
     B = fresh_basis(ell)
     points = {(a, b): B.combine(a, b)
               for a, b in itertools.product(range(ell), repeat=2)}
-    op_counts()
+    ops = _ops(count_calls)
     # the basis walks P and Q once each, for e(P, Q), and neither it nor
     # dlog2d multiplies a point by ell: the walks are the E[ell] checks
     B = TorsionBasis(B.ctx, B.P, B.Q)
-    assert op_counts() == (2, 2, 0, 0)
+    assert taken(*ops) == (2, 2, 0, 0, 0)
     for (a, b), R in points.items():
         assert dlog2d(B, R) == (a, b)
         # O takes nothing; any other point one walk, read at P and at Q,
         # with the basis's walks read at the point: four reads, or three
         # where a line of one walk vanishes at the other point, which
         # happens only for a point of <P> or <Q>
-        counts = op_counts()
+        counts = taken(*ops)
         if R is None:
-            assert counts == (0, 0, 0, 0)
+            assert counts == (0, 0, 0, 0, 0)
         elif a and b:
-            assert counts == (1, 4, 0, 0), (a, b)
+            assert counts == (1, 4, 0, 0, 0), (a, b)
         else:
-            assert counts in {(1, 3, 0, 0), (1, 4, 0, 0)}, (a, b)
-    assert "p_multiples" not in vars(B)
-    # DDH's table of the multiples of P, sequential below curve._LAYER_MIN
-    # points: O and P cost nothing, 2P .. (ell - 1)P one addition each
-    table = B.p_multiples
-    assert op_counts() == (0, 0, ell - 2, 0)
-    assert table == {scalar_mul(B.curve, a, B.P): a for a in range(ell)}
+            assert counts in {(1, 3, 0, 0, 0), (1, 4, 0, 0, 0)}, (a, b)
 
 
-def test_endo_matrix_op_counts(op_counts, basis31):
+def test_endo_matrix_op_counts(count_calls, basis31):
     # [i] at ell = 31 moves P and Q off <P> and <Q>: two walks, eight reads
     phi = make_catalog_endo("sqrt_minus_one", basis31.curve)
     B = TorsionBasis(basis31.ctx, basis31.P, basis31.Q)
-    op_counts()
+    ops = _ops(count_calls)
     M = endo_matrix(phi, B)
     assert all(x for row in M.entries for x in row)
-    assert op_counts() == (2, 8, 0, 0)
-    assert "p_multiples" not in vars(B)
+    assert taken(*ops) == (2, 8, 0, 0, 0)
 
 
-def test_find_basis_one_pairing_per_candidate(
-    torsion_calls, monkeypatch, ex2_curve, ex2_frob
-):
-    draws = []
-    order = torsion._order
-
-    def recorded(C, ell, v, A):
-        draws.append(A)
-        return order(C, ell, v, A)
-
-    monkeypatch.setattr(torsion, "_order", recorded)
+def test_find_basis_one_pairing_per_candidate(count_calls, ex2_curve, ex2_frob):
+    draws, pairings = count_calls(torsion, "_order"), count_calls(torsion, "_weil")
     ctx = TorsionContext(2, ex2_curve, ex2_frob)
     candidates = 0
     for seed in range(20):
-        draws.clear()
-        torsion_calls["weil_pairing"] = 0
         find_torsion_basis(ctx, seed)
         # the ell-part is (Z/2)^2: the first draw m*X != O is P, every later
         # one a Q candidate, and one in <P> reduces to O
-        assert torsion_calls["weil_pairing"] == len(draws) - 1
-        candidates += len(draws) - 1
+        d, w = taken(draws, pairings)
+        assert w == d - 1
+        candidates += d - 1
     assert candidates > 20  # some seeds drew a Q inside <P> and retried
 
 
@@ -332,25 +277,19 @@ def test_find_basis_pinned(ex2_curve, ex2_frob, basis31):
         assert (B.P, B.Q) == (P, Q), seed
 
 
-def test_torsion_draw_one_mul_per_step(monkeypatch):
+def test_torsion_draw_one_mul_per_step(count_calls):
     # y^2 = x^3 + x over F_17 has E(F_17) = Z/4 x Z/4, so v_2(#E) = 4: a
     # point of order 2^k takes k - 1 steps down (one multiplication by 2
     # each), then one more multiplication by 2 meets O
     C = Curve(PrimeField(17), 1, 0)
-    calls = []
-
-    def counted(C, k, A):
-        calls.append(k)
-        return _mul(C, k, A)
-
-    monkeypatch.setattr(torsion, "_mul", counted)
+    calls = count_calls(torsion, "_mul")
     orders = []
     for x in range(17):
         if C.field.legendre(C.rhs(x)) >= 0:
             for A in (lift(C, x), point_neg(C, lift(C, x))):
                 calls.clear()
                 k, T = torsion._order(C, 2, 4, A)
-                assert calls == [2] * k
+                assert [n for _, n, _ in calls] == [2] * k
                 assert T is not None and scalar_mul(C, 2, T) is None
                 assert scalar_mul(C, 2 ** (k - 1), A) == T
                 orders.append(k)
