@@ -18,7 +18,6 @@ of the denominator (kernel points) go to the identity.
 import re
 
 from .curve import Curve, Point, _add, _mul
-from .field import PrimeField
 from .torsion import TorsionBasis, dlog2d
 
 
@@ -184,12 +183,6 @@ def char_poly_mod_ell(M: TorsionMatrix) -> tuple:
 
 def quadratic_roots_mod(coeffs: tuple, ell: int) -> list:
     """Sorted roots in Z/ell, ell prime, of a monic quadratic given as
-    (1, c1, c0): (-c1 +- sqrt(c1^2 - 4*c0)) / 2, with ell = 2 by hand."""
+    (1, c1, c0): a scan of Z/ell, at most field.ELL_CAP steps."""
     _, c1, c0 = coeffs
-    if ell == 2:
-        return [x for x in (0, 1) if (x * x + c1 * x + c0) % 2 == 0]
-    s = PrimeField(ell).sqrt(c1 * c1 - 4 * c0)
-    if s is None:
-        return []
-    half = (ell + 1) // 2  # the inverse of 2 mod ell
-    return sorted({(-c1 + s) * half % ell, (-c1 - s) * half % ell})
+    return [x for x in range(ell) if (x * x + c1 * x + c0) % ell == 0]

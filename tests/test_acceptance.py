@@ -14,13 +14,12 @@ import itertools
 
 import pytest
 
-from conftest import lift
+from conftest import small_curve, torsion_points
 from distmap import (
     Curve,
     DdhInstance,
     OrderData,
     PrimeField,
-    TorsionBasis,
     TorsionContext,
     classify_case,
     count_points,
@@ -31,12 +30,12 @@ from distmap import (
     endo_matrix,
     find_torsion_basis,
     make_catalog_endo,
-    point_add,
     reduce_rational_curve,
     scalar_mul,
     verify_theorem1,
     weil_pairing,
 )
+from distmap.catalog import builtin_catalog
 from distmap.curve import BadReduction
 from distmap.endo import TorsionMatrix, char_poly_mod_ell, quadratic_roots_mod
 
@@ -159,10 +158,7 @@ def test_criterion_8_property_suites(ex2):
 
     # Weil pairing bilinear/alternating/nondegenerate on E[2] and E[5]
     for B, ell in ((ex2["B2"], 2), (ex2["B5"], 5)):
-        pts = {
-            (a, b): B.combine(a, b)
-            for a, b in itertools.product(range(ell), repeat=2)
-        }
+        pts = torsion_points(B)
         z = weil_pairing(C, ell, B.P, B.Q)
         ok &= z != 1 and pow(z, ell, C.p) == 1
         for (a, b), (c, d) in itertools.product(pts, repeat=2):
@@ -194,17 +190,11 @@ def test_criterion_8_property_suites(ex2):
                 ok &= n in (ell - 1, ell, ell + 1)
 
     # Hasse bound and Lagrange on every catalog curve
-    from distmap.catalog import builtin_catalog
-
     for entry in builtin_catalog().values():
         fd = entry.frob
         ok &= fd.trace_t ** 2 <= 4 * fd.q
-        Cc = entry.curve
-        for x in range(Cc.p):
-            A = lift(Cc, x)
-            if A[1] is None:
-                continue
-            ok &= scalar_mul(Cc, fd.order_n, A) is None
+        for A in small_curve(entry.curve).lifts:
+            ok &= scalar_mul(entry.curve, fd.order_n, A) is None
 
     report("8: pairing laws, char-poly identity, census trichotomy, Hasse/Lagrange", ok)
 

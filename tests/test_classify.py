@@ -270,11 +270,24 @@ def test_census_closed_form_matches_scan(ell):
         assert got == _census_by_scan(M), M
 
 
+def _symbol(d, ell):
+    """(d | ell) for prime ell: the Kronecker symbol by d mod 8 for ell = 2,
+    Euler's criterion otherwise."""
+    if ell == 2:
+        return (0, 1, 0, -1, 0, -1, 0, 1)[d % 8]
+    r = pow(d, (ell - 1) // 2, ell)
+    return -1 if r == ell - 1 else r
+
+
 @pytest.mark.parametrize("ell", [2, 3, 5, 7, 13, 97])
 def test_quadratic_roots_match_scan(ell):
+    # X^2 + c1*X + c0 has 1 + (c1^2 - 4*c0 | ell) roots mod ell: the roots
+    # returned are that many, distinct, sorted, and each a root
     for c1, c0 in itertools.product(range(ell), repeat=2):
-        scan = [x for x in range(ell) if (x * x + c1 * x + c0) % ell == 0]
-        assert quadratic_roots_mod((1, c1, c0), ell) == scan, (c1, c0)
+        roots = quadratic_roots_mod((1, c1, c0), ell)
+        assert len(roots) == 1 + _symbol(c1 * c1 - 4 * c0, ell), (c1, c0)
+        assert roots == sorted(set(roots)) and set(roots) <= set(range(ell))
+        assert all((x * x + c1 * x + c0) % ell == 0 for x in roots), (c1, c0)
 
 
 def test_verify_theorem1_paper_configurations(basis5, basis2, alpha, ex2_curve):

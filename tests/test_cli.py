@@ -1,8 +1,14 @@
 import argparse
+import io
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import deadline, primes
+from distmap import cli, curve
 from distmap.catalog import CurveCatalogEntry, builtin_catalog, get_entry
 from distmap.cli import build_parser, main, parse_point, point_str
 
@@ -318,8 +324,6 @@ def test_census_ell_part_beyond_2d(capsys, seed):
 
 
 def test_counting_exhausted_exit_2(capsys, monkeypatch):
-    from distmap import curve
-
     monkeypatch.setattr(curve, "_random_point", lambda C, rng: None)
     code = main(["curve-info", "--p", "251", "--a4", "1", "--a6", "1"])
     captured = capsys.readouterr()
@@ -398,3 +402,48 @@ def test_paper_examples_reason_names_exception(capsys, monkeypatch):
     assert code == 1
     assert captured.out == "PASS  ok row\nFAIL  broken row\ntotal=2 failed=1\n"
     assert captured.err == "reason[broken row]=ValueError: boom\n"
+
+
+# each catalog curve, by name and by coefficients, with its ell, its first
+# map (scalar(2) where it has none) and a true and a false DDH triple; or
+# a small curve by coefficients, with an ell
+_SETTINGS = st.sampled_from([
+    {**by, "ell": str(e.default_ell), "phi": (*e.endo_labels, "scalar(2)")[0],
+     "triple": triple, "action": "export"}
+    for e in builtin_catalog().values()
+    for by in ({"name": e.name},
+               {"p": str(e.p), "a4": str(e.curve.a4), "a6": str(e.curve.a6)})
+    for triple in ("2,3,6", "2,3,5")
+]) | st.fixed_dictionaries({
+    "p": st.sampled_from(primes(3, 60)).map(str), "a4": st.integers(0, 60).map(str),
+    "a6": st.integers(0, 60).map(str), "ell": st.sampled_from(["2", "3", "5"])})
+# any flag outside the setting takes one of these: of the right kind for
+# some flags, and for others of the wrong kind or out of range
+_TOKENS = st.integers(-2, 120).map(str) | st.sampled_from([
+    "4", "701", "1009", "O", "x", "224,31", "573,450", "319,0", "1,1", "1,2",
+    "alpha_701", "sqrt_minus_one", "frobenius", "ex2-f701", "nonexistent",
+])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cli_contract(data):
+    # argv from the flags that cli._COMMANDS declares: those of a drawn
+    # setting, the required ones and the positionals nine times in ten, the
+    # others two times in ten.  Exit 0, 1 or 2, no exception and no hang;
+    # an exit 2 says why on stderr
+    command, _, _, flags = data.draw(st.sampled_from(cli._COMMANDS))
+    setting, argv = data.draw(_SETTINGS), [command]
+    for *names, kwargs in flags:
+        dest = kwargs.get("dest", names[0].lstrip("-"))
+        positional = not names[0].startswith("-")
+        wanted = positional or kwargs.get("required", False) or dest in setting
+        roll = data.draw(st.integers(0, 9))  # shrinks to 0: wanted flags given
+        if (roll < 9) if wanted else (roll > 7):
+            value = setting.get(dest) or data.draw(_TOKENS)
+            argv += [value] if positional else [data.draw(st.sampled_from(names)), value]
+    err = io.StringIO()
+    with deadline(10), redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert code != 2 or err.getvalue(), argv

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import deadline, primes, random_points, small_curve, small_curves
 from distmap import curve
 from distmap.curve import (
     BadReduction,
@@ -29,19 +30,6 @@ from distmap.curve import (
     scalar_mul,
 )
 from distmap.field import PrimeField, is_prime
-
-
-def all_points(C):
-    pts = [None]
-    for x in range(C.p):
-        rhs = C.rhs(x)
-        y = C.field.sqrt(rhs)
-        if y is None:
-            continue
-        pts.append((x, y))
-        if y != 0:
-            pts.append((x, C.p - y))
-    return pts
 
 
 def test_singular_rejected():
@@ -95,7 +83,7 @@ def test_negative_scalar(ex2_curve):
 @pytest.mark.parametrize("p,a4,a6", [(13, 1, 0), (17, 2, 3), (31, 5, 7)])
 def test_group_laws_exhaustive(p, a4, a6):
     C = Curve(PrimeField(p), a4, a6)
-    pts = all_points(C)
+    pts = small_curve(C).points
     for A, B in itertools.product(pts, repeat=2):
         assert point_add(C, A, B) == point_add(C, B, A)
     for A, B, D in itertools.islice(itertools.product(pts, repeat=3), 4000):
@@ -109,7 +97,7 @@ def test_group_laws_exhaustive(p, a4, a6):
 @pytest.mark.parametrize("p,a4,a6", [(13, 1, 0), (17, 2, 3), (31, 5, 7), (97, 2, 3)])
 def test_add_each_matches_add_on_every_point(p, a4, a6):
     C = Curve(PrimeField(p), a4, a6)
-    pts = all_points(C)
+    pts = small_curve(C).points
     order2 = next(A for A in pts if A is not None and A[1] == 0)
     generic = next(A for A in pts if A is not None and A[1] != 0)
     for B in (None, order2, generic):
@@ -122,7 +110,7 @@ def test_add_each_matches_add_at_2_40():
     C = Curve(PrimeField(1099511627689), 3, 7)  # the largest prime below 2^40
     rng = random.Random(40)
     for k in (1, 2, 33, 200):
-        B, *As = _lifted_points(C, k, k + 1)
+        B, *As = random_points(C, k, k + 1)
         As += [None, B, point_neg(C, B), B, None]
         rng.shuffle(As)
         assert _add_each(C, As, B) == [_add(C, A, B) for A in As]
@@ -138,7 +126,7 @@ def test_count_f701(ex2_curve, ex2_frob):
 def test_count_matches_enumeration():
     for p, a4, a6 in [(13, 1, 0), (29, 1, 0), (37, 3, 5)]:
         C = Curve(PrimeField(p), a4, a6)
-        assert count_points(C).order_n == len(all_points(C))
+        assert count_points(C).order_n == small_curve(C).order
 
 
 def test_count_x3_plus_x_mod5():
@@ -152,7 +140,7 @@ def test_hasse_and_lagrange():
         C = Curve(PrimeField(p), a4, a6)
         fd = count_points(C)
         assert (p + 1 - fd.order_n) ** 2 <= 4 * p
-        for A in all_points(C)[:50]:
+        for A in small_curve(C).points[:50]:
             assert scalar_mul(C, fd.order_n, A) is None
 
 
@@ -175,8 +163,6 @@ def test_frobenius_data_rejects_bad_trace():
 
 
 def test_bsgs_agrees_with_exhaustive():
-    from distmap.curve import _count_bsgs, _count_exhaustive
-
     for p, a4, a6 in [(10007, 3, 7), (7919, 1, 6)]:
         C = Curve(PrimeField(p), a4, a6)
         assert _count_bsgs(C) == _count_exhaustive(C)
@@ -188,22 +174,7 @@ def _twist(C):
     return Curve(C.field, g * g * C.a4, g * g * g * C.a6)
 
 
-def _lifted_points(C, seed, k):
-    """k points of C over seeded random x-coordinates."""
-    rng = random.Random(seed)
-    pts = []
-    while len(pts) < k:
-        y = C.field.sqrt(C.rhs(x := rng.randrange(C.p)))
-        if y is not None:
-            pts.append((x, y))
-    return pts
-
-
-def _primes(lo, hi):
-    return [p for p in range(lo, hi) if is_prime(p)]
-
-
-@pytest.mark.parametrize("p", _primes(230, 300))
+@pytest.mark.parametrize("p", primes(230, 300))
 def test_bsgs_j0_j1728_and_random_above_floor(p):
     # a4 = 0 or a6 = 0 (j = 0, 1728) is where E and E' most often have a
     # small exponent, so where one point is least likely to settle #E
@@ -235,15 +206,13 @@ def test_bsgs_differential(n, a4, a6, seed):
 def test_bsgs_below_floor_exact_or_typed():
     # below the floor BSGS may not settle #E, but it never returns a wrong one
     exhausted = 0
-    for p in _primes(5, 32):
-        for a4, a6 in itertools.product(range(p), repeat=2):
-            if (4 * a4 ** 3 + 27 * a6 ** 2) % p == 0:
-                continue
-            C = Curve(PrimeField(p), a4, a6)
-            try:
-                assert _count_bsgs(C) == _count_exhaustive(C), (p, a4, a6)
-            except CountingExhausted:
-                exhausted += 1
+    with deadline(60):
+        for p in primes(5, 32):
+            for sc in small_curves(p):
+                try:
+                    assert _count_bsgs(sc.curve) == sc.order, sc.curve
+                except CountingExhausted:
+                    exhausted += 1
     assert exhausted > 0  # e.g. (5, 1, 0), which the floor sends to the sum
 
 
@@ -267,8 +236,8 @@ def test_progression_both_sides_of_layer_min(n):
     # there on: the same points either way
     ex2, C20 = Curve(PrimeField(701), -35, 98), Curve(PrimeField(P20), 3, 7)
     S5 = (224, 31)  # of order 5 on ex2
-    U, V = _lifted_points(C20, 0, 2)
-    (X,) = _lifted_points(ex2, 0, 1)
+    U, V = random_points(C20, 0, 2)
+    (X,) = random_points(ex2, 0, 1)
     for C, G, S in [
         (C20, U, U),  # G = S
         (C20, U, V),  # G != S
@@ -320,7 +289,7 @@ _SEQUENTIAL_ROWS = [
 def test_annihilators_layered_against_scan(p, a4, a6, A, first, step, count):
     layered = (p, a4, a6, A, first, step, count) in _LAYERED_ROWS
     C = Curve(PrimeField(p), a4, a6)
-    A = A or _lifted_points(C, first, 1)[0]
+    A = A or random_points(C, first, 1)[0]
     # the baby steps are a _progression of m + 1 points
     assert (isqrt(count // 2) + 2 >= curve._LAYER_MIN) == layered
     k0, e = _annihilators(C, A, first, step, count)
@@ -333,9 +302,9 @@ def test_count_layered_kills_points_of_e_and_twist(p):
     C = Curve(PrimeField(p), 123456789, 987654321)
     n = count_points(C).order_n
     E2 = _twist(C)
-    for A in _lifted_points(C, p, 5):
+    for A in random_points(C, p, 5):
         assert scalar_mul(C, n, A) is None
-    for A in _lifted_points(E2, p + 1, 5):
+    for A in random_points(E2, p + 1, 5):
         assert scalar_mul(E2, 2 * p + 2 - n, A) is None
 
 
@@ -345,10 +314,10 @@ def test_count_2_24_under_a_second():
     start = time.perf_counter()
     n = count_points(C).order_n
     assert time.perf_counter() - start < 1.0
-    for A in _lifted_points(C, 0, 5):
+    for A in random_points(C, 0, 5):
         assert scalar_mul(C, n, A) is None
     E2 = _twist(C)
-    for A in _lifted_points(E2, 1, 5):
+    for A in random_points(E2, 1, 5):
         assert scalar_mul(E2, 2 * C.p + 2 - n, A) is None
 
 
@@ -358,9 +327,9 @@ def test_count_2_48_kills_points_of_e_and_twist():
     n = count_points(C).order_n
     assert (p + 1 - n) ** 2 <= 4 * p
     E2 = _twist(C)
-    for A in _lifted_points(C, 0, 20):
+    for A in random_points(C, 0, 20):
         assert scalar_mul(C, n, A) is None
-    for A in _lifted_points(E2, 1, 20):
+    for A in random_points(E2, 1, 20):
         assert scalar_mul(E2, 2 * p + 2 - n, A) is None
 
 

@@ -4,9 +4,9 @@ import re
 
 import pytest
 
-from conftest import taken
+from conftest import deadline, primes, small_curves, taken
 from distmap import curve, ddh, pairing
-from distmap.curve import Curve, count_points, point_add, scalar_mul
+from distmap.curve import Curve, point_add, scalar_mul
 from distmap.ddh import (
     DdhInstance,
     InstanceInvalid,
@@ -27,7 +27,6 @@ from distmap.pairing import NotInTorsion, weil_pairing
 from distmap.torsion import (
     TorsionBasis,
     TorsionContext,
-    TorsionNotRational,
     find_torsion_basis,
 )
 
@@ -109,8 +108,6 @@ def test_exhaustive_soundness_ell5(basis5, alpha, ex2_curve):
 def basis2_distorted(basis2):
     # alpha's eigenlines on E[2] are <(319,0)> and <(389,0)>; DDH needs the
     # base subgroup to be the distorted one, generated by their sum (694,0)
-    from distmap.torsion import TorsionBasis
-
     return TorsionBasis(basis2.ctx, (694, 0), (389, 0))
 
 
@@ -142,8 +139,6 @@ def test_decision_invariant_under_scalar_shift(basis5, alpha, ex2_curve):
     for a, b, c in itertools.product(range(5), repeat=3):
         inst = triple_of(ex2_curve, basis5.P, a, b, c)
         baseline[(a, b, c)] = ddh_decide(basis5, alpha, inst)
-    from distmap.endo import endo_eval
-
     for k in range(5):
         phi = shifted_endo(alpha, k)
         if weil_pairing(
@@ -507,19 +502,15 @@ def test_ddh_differential_small_curves():
     # that distorts <P> (e(P, phi(P)) != 1) decides all ell^3 triples as
     # ab = c mod ell; any other map is refused
     equations = set()
-    for p in range(5, 110, 4):
-        if any(p % d == 0 for d in range(2, p)):
-            continue
-        for a4 in range(1, p):
-            C = Curve(PrimeField(p), a4, 0)
-            frob, i = count_points(C), make_catalog_endo("sqrt_minus_one", C)
+    with deadline(60):
+        for sc in [sc for p in primes(5, 110) if p % 4 == 1
+                   for sc in small_curves(p) if sc.a6 == 0]:
+            C = sc.curve
+            i = make_catalog_endo("sqrt_minus_one", C)
             for ell in (2, 3, 5):
-                if ell == p:
+                if not sc.rational(ell):
                     continue
-                try:
-                    B = find_torsion_basis(TorsionContext(ell, C, frob), seed=0)
-                except TorsionNotRational:
-                    continue
+                B = find_torsion_basis(TorsionContext(ell, C, sc.frob), seed=0)
                 for k in range(ell):
                     phi = shifted_endo(i, k)
                     if weil_pairing(C, ell, B.P, phi.image(B.P)) == 1:

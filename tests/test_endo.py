@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import dlog_reference, lift
+from conftest import dlog_reference, random_points, small_curve, torsion_points
 from distmap.catalog import get_entry
 from distmap.curve import Curve, count_points, point_add, point_neg, scalar_mul
 from distmap.endo import (
@@ -79,7 +79,7 @@ def test_scalar_endo(ex2_curve):
 
 def test_homomorphism_exhaustive_on_torsion(ex2_curve, basis5, basis2, alpha):
     for B, ell in ((basis5, 5), (basis2, 2)):
-        pts = [B.combine(a, b) for a, b in itertools.product(range(ell), repeat=2)]
+        pts = torsion_points(B).values()
         for A1, A2 in itertools.product(pts, repeat=2):
             lhs = endo_eval(alpha, point_add(ex2_curve, A1, A2))
             rhs = point_add(
@@ -89,14 +89,7 @@ def test_homomorphism_exhaustive_on_torsion(ex2_curve, basis5, basis2, alpha):
 
 
 def test_homomorphism_random_full_group(ex2_curve, alpha):
-    rng = random.Random(42)
-    pts = []
-    while len(pts) < 30:
-        x = rng.randrange(701)
-        A = lift(ex2_curve, x)
-        if A[1] is None:
-            continue
-        pts.append(A if rng.randrange(2) else (A[0], -A[1] % 701))
+    pts = random.Random(42).sample(small_curve(ex2_curve).points, 30)
     checked = 0
     for A1, A2 in itertools.product(pts, repeat=2):
         lhs = endo_eval(alpha, point_add(ex2_curve, A1, A2))
@@ -177,8 +170,7 @@ def test_trace_det_basis_independent(ex2_curve, ex2_frob, alpha):
 
 def test_frobenius_acts_as_identity(ex2_curve, basis5):
     # q = 1, t = 2 mod ell: the q-power Frobenius fixes E[ell] pointwise
-    for a, b in itertools.product(range(5), repeat=2):
-        A = basis5.combine(a, b)
+    for A in torsion_points(basis5).values():
         if A is not None:
             x, y = A
             assert (pow(x, 701, 701), pow(y, 701, 701)) == (x, y)
@@ -191,15 +183,6 @@ def test_shifted_endo_minpoly(ex2_curve, basis5, alpha):
         assert char_poly_mod_ell(M) == (1, -e.trace % 5, e.norm % 5)
 
 
-def _all_points(C):
-    pts = [None]
-    for x in range(C.p):
-        y = C.field.sqrt(C.rhs(x))
-        if y is not None:
-            pts += [(x, y)] if y == 0 else [(x, y), (x, C.p - y)]
-    return pts
-
-
 def _satisfies_minpoly(e, A):
     """e(e(A)) - trace*e(A) + norm*A = O, as e(e(A)) + norm*A = trace*e(A)."""
     C = e.curve
@@ -209,7 +192,7 @@ def _satisfies_minpoly(e, A):
 
 
 def test_alpha_minpoly_on_whole_group(ex2_curve, alpha):
-    pts = _all_points(ex2_curve)
+    pts = small_curve(ex2_curve).points
     assert len(pts) == 700
     assert all(_satisfies_minpoly(alpha, A) for A in pts)
 
@@ -218,7 +201,7 @@ def test_alpha_minpoly_on_whole_group(ex2_curve, alpha):
 def test_sqrt_minus_one_squares_to_minus_one(p):
     C = get_entry(f"ex1-f{p}").curve
     i = make_catalog_endo("sqrt_minus_one", C)
-    for A in _all_points(C):
+    for A in small_curve(C).points:
         assert endo_eval(i, endo_eval(i, A)) == point_neg(C, A)
         assert _satisfies_minpoly(i, A)
 
@@ -227,8 +210,7 @@ def test_nested_shift_matches_single_shift(basis5, alpha):
     nested = shifted_endo(shifted_endo(alpha, 1), 2)
     once = shifted_endo(alpha, 3)
     assert (nested.trace, nested.norm) == (once.trace, once.norm) == (7, 14)
-    for a, b in itertools.product(range(5), repeat=2):
-        A = basis5.combine(a, b)
+    for A in torsion_points(basis5).values():
         assert endo_eval(nested, A) == endo_eval(once, A)
     assert endo_matrix(nested, basis5) == endo_matrix(once, basis5)
 
@@ -266,7 +248,7 @@ def test_alpha_one_denominator_matches_two(ex2_curve, alpha):
         [ia2, ia2 * c, -ia2 * d], [1, c],
         [ia3, 2 * c * ia3, ia3 * (c * c + d)], [1, 2 * c, c * c],
     )
-    pts = _all_points(ex2_curve)
+    pts = small_curve(ex2_curve).points
     assert len(pts) == 700
     for A in pts:
         assert alpha.image(A) == ref(A)
@@ -281,7 +263,7 @@ def _sqrt_minus_one_reference(C):
 def test_sqrt_minus_one_one_denominator_matches_two(p):
     C = get_entry(f"ex1-f{p}").curve
     i, ref = make_catalog_endo("sqrt_minus_one", C), _sqrt_minus_one_reference(C)
-    for A in _all_points(C):
+    for A in small_curve(C).points:
         assert i.image(A) == ref(A)
 
 
@@ -290,9 +272,6 @@ def test_sqrt_minus_one_one_denominator_matches_two_ell31(basis31):
     i, ref = make_catalog_endo("sqrt_minus_one", C), _sqrt_minus_one_reference(C)
     rng = random.Random(31)
     pts = [basis31.combine(rng.randrange(31), rng.randrange(31)) for _ in range(64)]
-    while len(pts) < 192:
-        y = C.field.sqrt(C.rhs(x := rng.randrange(C.p)))
-        if y is not None:
-            pts.append((x, y))
+    pts += random_points(C, 31, 128)
     for A in pts:
         assert i.image(A) == ref(A)

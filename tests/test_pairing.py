@@ -4,7 +4,14 @@ import re
 
 import pytest
 
-from distmap import pairing
+from conftest import (
+    deadline,
+    random_points,
+    small_curve,
+    small_curves,
+    torsion_points,
+)
+from distmap import TorsionContext, count_points, find_torsion_basis, pairing
 from distmap.curve import (
     Curve,
     PointNotOnCurve,
@@ -12,7 +19,6 @@ from distmap.curve import (
     _mul,
     point_add,
     point_neg,
-    scalar_mul,
 )
 from distmap.field import PrimeField
 from distmap.pairing import (
@@ -33,15 +39,6 @@ def _value(C, f):
 def _miller(C, ell, A, X):
     """f_{ell,A}(X): A walked, then read at X."""
     return _value(C, _read(C, _walk(C, ell, A), X))
-
-
-def torsion_points(C, B, ell):
-    pts = {}
-    for a, b in itertools.product(range(ell), repeat=2):
-        pts[(a, b)] = point_add(
-            C, scalar_mul(C, a, B.P), scalar_mul(C, b, B.Q)
-        )
-    return pts
 
 
 def test_pairing_value_validates(monkeypatch, ex2_curve):
@@ -134,15 +131,13 @@ def test_public_pairing_checks_argument_beside_identity(ex2_curve):
 
 @pytest.mark.parametrize("ell", [2, 3, 5])
 def test_bilinear_alternating_exhaustive(ell):
-    from distmap import TorsionContext, count_points, find_torsion_basis
-
     if ell == 3:
         # y^2 = x^3 + 4 over F_31: order 36, t = -4 = 2 mod 3
         C = Curve(PrimeField(31), 0, 4)
     else:
         C = Curve(PrimeField(701), -35, 98)
     B = find_torsion_basis(TorsionContext(ell, C, count_points(C)))
-    pts = torsion_points(C, B, ell)
+    pts = torsion_points(B)
     z = weil_pairing(C, ell, B.P, B.Q)
     assert pow(z, ell, C.p) == 1 and z != 1  # nondegenerate, exact order ell
     for (a, b), (c, d) in itertools.product(pts, repeat=2):
@@ -251,16 +246,9 @@ def _weil_ref(C, ell, A, B):
 
 
 def test_fused_miller_step_matches_two_pass(ex2_curve):
-    C = ex2_curve
-    points = [None]
-    for x in range(C.p):
-        y = C.field.sqrt(C.rhs(x))
-        if y is not None:
-            points += [(x, y)] if y == 0 else [(x, y), (x, C.p - y)]
-    torsion = {
-        ell: [A for A in points if scalar_mul(C, ell, A) is None]
-        for ell in (2, 5)
-    }
+    C, sc = ex2_curve, small_curve(ex2_curve)
+    points = sc.points
+    torsion = {ell: sc.torsion(ell) for ell in (2, 5)}
     assert (len(torsion[2]), len(torsion[5])) == (4, 25)
     # Miller's walk takes A of exact order ell (torsion[ell][0] is O); one
     # walk per base is read at every point, so every ordered pair of base
@@ -285,7 +273,7 @@ def test_read_matches_two_pass_ell31(basis31):
     # against the two-pass loop
     B, C = basis31, basis31.curve
     rng = random.Random(131)
-    outside = _affine_points(C, 20)
+    outside = random_points(C, 0, 20)
     evaluations = collisions = 0
     for _ in range(20):
         A = B.combine(rng.randrange(31), rng.randrange(1, 31))
@@ -343,23 +331,9 @@ def test_two_miller_loops_per_pairing(count_calls, ell, basis5, basis31):
 
 
 def _small_curves(ell, primes):
-    """Every ordinary y^2 = x^3 + a4 x + a6 over F_p, p in primes, whose
-    E[ell] is rational, with the ell^2 points of E[ell]."""
-    for p in primes:
-        squares = {}
-        for y in range(p):
-            squares.setdefault(y * y % p, []).append(y)
-        for a4, a6 in itertools.product(range(p), repeat=2):
-            if (4 * a4 ** 3 + 27 * a6 ** 2) % p == 0:
-                continue
-            C = Curve(PrimeField(p), a4, a6)
-            points = [None] + [(x, y) for x in range(p)
-                               for y in squares.get(C.rhs(x), ())]
-            if len(points) % p == 1:  # t = 0 mod p: supersingular
-                continue
-            torsion = [A for A in points if _mul(C, ell, A) is None]
-            if len(torsion) == ell * ell:
-                yield C, torsion
+    """Every ordinary curve over F_p, p in primes, whose E[ell] is rational."""
+    return [sc for p in primes for sc in small_curves(p)
+            if sc.ordinary and sc.rational(ell)]
 
 
 @pytest.mark.parametrize("ell, primes, n_curves", [
@@ -371,24 +345,14 @@ def test_weil_matches_offset_pairing_exhaustive(ell, primes, n_curves):
     # offset search and the forced E[2] values) as the reference for the
     # two-loop pairing, on every ordered pair of E[ell]
     curves = pairs = 0
-    for C, torsion in _small_curves(ell, primes):
-        curves += 1
-        for A, B in itertools.product(torsion, repeat=2):
-            assert _weil(C, ell, A, B) == _weil_ref(C, ell, A, B)
-            pairs += 1
+    with deadline(60):
+        for sc in _small_curves(ell, primes):
+            C, torsion = sc.curve, sc.torsion(ell)
+            curves += 1
+            for A, B in itertools.product(torsion, repeat=2):
+                assert _weil(C, ell, A, B) == _weil_ref(C, ell, A, B)
+                pairs += 1
     assert (curves, pairs) == (n_curves, n_curves * ell ** 4)
-
-
-def _affine_points(C, n):
-    """The first n affine points of C, by x."""
-    points = []
-    for x in range(C.p):
-        y = C.field.sqrt(C.rhs(x))
-        if y is not None:
-            points.append((x, y))
-            if len(points) == n:
-                break
-    return points
 
 
 def _tate_by_divisor(C, ell, A, X, offsets):
@@ -411,7 +375,7 @@ def test_tate_pinned_value_ex2(ex2_curve):
     # arguments carries it to every pair of <A> x <X>
     C, A, X = ex2_curve, (224, 31), (173, 194)
     assert _tate(C, 5, A, X) == 638
-    assert _tate_by_divisor(C, 5, A, X, _affine_points(C, 4)) == 638
+    assert _tate_by_divisor(C, 5, A, X, small_curve(C).lifts[:4]) == 638
     for a, b in itertools.product(range(5), repeat=2):
         assert _tate(C, 5, _mul(C, a, A), _mul(C, b, X)) == pow(638, a * b, 701)
 
@@ -460,15 +424,16 @@ def test_tate_matches_divisor_definition_exhaustive(ell, primes, counts):
     # ordered pair A != O, X outside <A> of E[ell] for which some affine R
     # keeps the divisor off <A>
     curves = pairs = nontrivial = 0
-    for C, torsion in _small_curves(ell, primes):
-        curves += 1
-        offsets = _affine_points(C, C.p + 1)
-        for A, X in itertools.product(torsion, repeat=2):
-            if A is None or X in {_mul(C, k, A) for k in range(1, ell)}:
-                continue
-            ref = _tate_by_divisor(C, ell, A, X, offsets)
-            if ref is not None:
-                assert _tate(C, ell, A, X) == ref
-                pairs += 1
-                nontrivial += ref != 1
+    with deadline(60):
+        for sc in _small_curves(ell, primes):
+            C, torsion = sc.curve, sc.torsion(ell)
+            curves += 1
+            for A, X in itertools.product(torsion, repeat=2):
+                if A is None or X in {_mul(C, k, A) for k in range(1, ell)}:
+                    continue
+                ref = _tate_by_divisor(C, ell, A, X, sc.lifts)
+                if ref is not None:
+                    assert _tate(C, ell, A, X) == ref
+                    pairs += 1
+                    nontrivial += ref != 1
     assert (curves, pairs, nontrivial) == counts

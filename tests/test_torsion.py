@@ -1,20 +1,24 @@
-import itertools
 import re
-import signal
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dlog_reference, lift, taken
+from conftest import (
+    deadline,
+    dlog_reference,
+    lift,
+    primes,
+    small_curve,
+    small_curves,
+    taken,
+    torsion_points,
+)
 from distmap import curve, pairing, torsion
 from distmap.curve import (
     Curve,
     FrobeniusData,
-    _mul,
     count_points,
-    point_neg,
     scalar_mul,
 )
 from distmap.endo import endo_matrix, make_catalog_endo
@@ -112,8 +116,7 @@ def test_dlog_paper_image(basis5):
 @pytest.mark.parametrize("ell", [2, 3, 5, 7])
 def test_dlog_round_trip_exhaustive(fresh_basis, ell):
     B = fresh_basis(ell)
-    for a, b in itertools.product(range(ell), repeat=2):
-        R = B.combine(a, b)
+    for (a, b), R in torsion_points(B).items():
         assert dlog2d(B, R) == dlog_reference(B, R) == (a, b)
 
 
@@ -132,24 +135,14 @@ def test_dlog_differential_small_curves():
     # for ell in {2, 3, 5}: the pairing log agrees with the baby-step/
     # giant-step log on every point of E[ell]
     bases = 0
-    with _deadline(60):
-        for p in [q for q in range(3, 60) if all(q % d for d in range(2, q))]:
-            F = PrimeField(p)
-            for a4, a6 in itertools.product(range(p), repeat=2):
-                try:
-                    C = Curve(F, a4, a6)
-                    frob = count_points(C)
-                except ValueError:  # singular or supersingular
-                    continue
-                for ell in (2, 3, 5):
-                    try:
-                        B = find_torsion_basis(TorsionContext(ell, C, frob))
-                    except ValueError:  # ell = p, or E[ell] not rational
-                        continue
-                    bases += 1
-                    for a, b in itertools.product(range(ell), repeat=2):
-                        R = B.combine(a, b)
-                        assert dlog2d(B, R) == dlog_reference(B, R) == (a, b), (C, ell)
+    with deadline(60):
+        for ctx, rational in _contexts(60):
+            if not rational:
+                continue
+            B = find_torsion_basis(ctx)
+            bases += 1
+            for (a, b), R in torsion_points(B).items():
+                assert dlog2d(B, R) == dlog_reference(B, R) == (a, b), ctx
     assert bases == 2449
 
 
@@ -182,8 +175,7 @@ def test_dlog_rejects_order_prime_to_ell31(basis31):
 @pytest.mark.parametrize("ell", [2, 3, 5, 7, 31])
 def test_dlog_op_counts(count_calls, fresh_basis, ell):
     B = fresh_basis(ell)
-    points = {(a, b): B.combine(a, b)
-              for a, b in itertools.product(range(ell), repeat=2)}
+    points = torsion_points(B)
     ops = _ops(count_calls)
     # the basis walks P and Q once each, for e(P, Q), and neither it nor
     # dlog2d multiplies a point by ell: the walks are the E[ell] checks
@@ -284,32 +276,14 @@ def test_torsion_draw_one_mul_per_step(count_calls):
     C = Curve(PrimeField(17), 1, 0)
     calls = count_calls(torsion, "_mul")
     orders = []
-    for x in range(17):
-        if C.field.legendre(C.rhs(x)) >= 0:
-            for A in (lift(C, x), point_neg(C, lift(C, x))):
-                calls.clear()
-                k, T = torsion._order(C, 2, 4, A)
-                assert [n for _, n, _ in calls] == [2] * k
-                assert T is not None and scalar_mul(C, 2, T) is None
-                assert scalar_mul(C, 2 ** (k - 1), A) == T
-                orders.append(k)
+    for A in small_curve(C).points[1:]:
+        calls.clear()
+        k, T = torsion._order(C, 2, 4, A)
+        assert [n for _, n, _ in calls] == [2] * k
+        assert T is not None and scalar_mul(C, 2, T) is None
+        assert scalar_mul(C, 2 ** (k - 1), A) == T
+        orders.append(k)
     assert sorted(set(orders)) == [1, 2]
-
-
-@contextmanager
-def _deadline(seconds):
-    """Turns a hang inside the block into a failing TimeoutError."""
-
-    def alarm(signum, frame):
-        raise TimeoutError(f"no answer in {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 BASES_ELL97 = [
@@ -330,7 +304,7 @@ def test_find_basis_ell97(ctx97):
     # ell-part Z/97 x Z/97^3: a candidate in <P> is reduced by the first
     # draw, not thrown away, through a table of the multiples of P built
     # in layers (97 - 1 points, past curve._LAYER_MIN)
-    with _deadline(10):
+    with deadline(10):
         for seed, (P, Q) in enumerate(BASES_ELL97):
             B = find_torsion_basis(ctx97, seed)
             assert (B.P, B.Q) == (P, Q), seed
@@ -341,7 +315,7 @@ def test_find_basis_wrong_order_raises(ex2_curve):
     # #E = 725 = 25 * 29 passes the context's checks on the F_701 curve of
     # order 700; a draw m*X = 29*X that 25 does not kill shows it wrong
     ctx = TorsionContext(5, ex2_curve, FrobeniusData(701, 725, -23))
-    with _deadline(10), pytest.raises(ValueError, match="#E is wrong"):
+    with deadline(10), pytest.raises(ValueError, match="#E is wrong"):
         find_torsion_basis(ctx)
 
 
@@ -350,7 +324,7 @@ def test_context_rejects_wrong_order_small_p():
     # given as 8 every draw has order <= 4 < 2^3, so no draw shows the
     # order wrong: the context checks it by the character sum instead
     C5 = Curve(PrimeField(5), 1, 2)
-    with _deadline(10), pytest.raises(ValueError, match="#E = 8 is wrong .* it is 4"):
+    with deadline(10), pytest.raises(ValueError, match="#E = 8 is wrong .* it is 4"):
         find_torsion_basis(TorsionContext(2, C5, FrobeniusData(5, 8, -2)))
 
 
@@ -362,33 +336,26 @@ def test_context_rejects_foreign_frobenius(ex2_curve):
         TorsionContext(2, ex2_curve, count_points(C13))
 
 
-def _small_contexts(bound, ells):
+def _contexts(bound):
     """(ctx, E[ell] rational) for every context TorsionContext accepts on
-    a curve over F_p, 3 <= p < bound, by lifting every x."""
-    for p in [q for q in range(3, bound) if all(q % d for d in range(2, q))]:
-        F = PrimeField(p)
-        for a4, a6 in itertools.product(range(p), repeat=2):
-            try:
-                C = Curve(F, a4, a6)
-                frob = count_points(C)
-            except ValueError:  # singular or supersingular
+    an ordinary curve over F_p, p < bound, and ell in {2, 3, 5}."""
+    for p in primes(3, bound):
+        for sc in small_curves(p):
+            if not sc.ordinary:
                 continue
-            lifts = [lift(C, x) for x in range(p) if F.legendre(C.rhs(x)) >= 0]
-            points = lifts + [point_neg(C, A) for A in lifts if A[1]]
-            for ell in ells:
+            for ell in (2, 3, 5):
                 try:
-                    ctx = TorsionContext(ell, C, frob)
+                    ctx = TorsionContext(ell, sc.curve, sc.frob)
                 except ValueError:
                     continue
-                killed = 1 + sum(_mul(C, ell, A) is None for A in points)
-                yield ctx, killed == ell * ell
+                yield ctx, sc.rational(ell)
 
 
 def test_find_basis_exhaustive_small_p():
     # a basis exactly when E[ell] is rational, else TorsionNotRational
     outcomes = {True: 0, False: 0}
-    with _deadline(60):
-        for seed, (ctx, rational) in enumerate(_small_contexts(50, (2, 3, 5))):
+    with deadline(60):
+        for seed, (ctx, rational) in enumerate(_contexts(50)):
             outcomes[rational] += 1
             if rational:
                 find_torsion_basis(ctx, seed)
