@@ -217,7 +217,8 @@ def _random_point(C: Curve, rng: random.Random) -> Point:
 
 # Below this many points an inversion costs only a few products, so
 # _progression adds one point at a time (n <= 33 for the BSGS steps at
-# p < 2^18); layers start to pay near n = 40, p ~ 2^19.
+# p < 2^18); layers start to pay near n = 40, p ~ 2^19, and so does the
+# count's start on #E mod 2 or 4 (count_points).
 _LAYER_MIN = 40
 
 
@@ -287,15 +288,56 @@ def _annihilators(C: Curve, A: Point, first: int, step: int, count: int):
     return hits[0], (hits[1] - hits[0] if len(hits) > 1 else count)
 
 
-def _count_bsgs(C: Curve, seed: int = 1) -> int:
-    """#E by baby-step/giant-step on random points of E and its twist E'.
+def _two_part(C: Curve) -> Tuple[int, int]:
+    """(r, s) with #E = r mod s and s in {2, 4}: the ell = 2 step of Schoof's
+    algorithm (Math. Comp. 44, 1985), refined mod 4 by a 2-descent.
+
+    The points of order 2 are the (x0, 0) with f(x0) = 0, where
+    f = x^3 + a4*x + a6, and f has 0, 1 or 3 roots in F_p: exactly one iff
+    its discriminant -(4*a4^3 + 27*a6^2) is a non-square.  Three roots make
+    E[2] rational, so 4 | #E; x^p = x mod f tells three from none (#E odd).
+    With one root r0, E(F_p)[2] = Z/2, and 4 | #E iff T = (r0, 0) lies in
+    2E(F_p), iff the descent map x - r0 sends T to a square: f'(r0) =
+    3*r0^2 + a4.  r0 is the root of gcd(f, x^p - x), of degree 1.
+    """
+    F, p, a4, a6 = C.field, C.p, C.a4, C.a6
+    # x^p mod f as c0 + c1*x + c2*x^2, by square-and-multiply with
+    # x^3 = -a4*x - a6 and x^4 = -a4*x^2 - a6*x
+    c0, c1, c2 = 0, 1, 0
+    for bit in bin(p)[3:]:
+        t, u = 2 * c1 * c2 % p, c2 * c2 % p
+        c0, c1, c2 = (
+            (c0 * c0 - a6 * t) % p,
+            (2 * c0 * c1 - a4 * t - a6 * u) % p,
+            (c1 * c1 + 2 * c0 * c2 - a4 * u) % p,
+        )
+        if bit == "1":
+            c0, c1, c2 = -a6 * c2 % p, (c0 - a4 * c2) % p, c1
+    if F.legendre(-(4 * a4 ** 3 + 27 * a6 ** 2)) == 1:
+        return (0, 4) if (c0, c1, c2) == (0, 1, 0) else (1, 2)
+    # r0, the one common root of f and x^p - x = c2*x^2 + b*x + c0 mod f,
+    # is -k/l: c2^2 times f's remainder by the latter is l*x + k, and when
+    # c2 = 0, -k/l = -c0/b; then f'(r0) = (3*k^2 + a4*l^2) / l^2
+    b = c1 - 1
+    k, l = b * c0 + a6 * c2 * c2, b * b - c0 * c2 + a4 * c2 * c2
+    return (0, 4) if F.legendre(3 * k * k + a4 * l * l) == 1 else (2, 4)
+
+
+def _count_bsgs(C: Curve, residue: Tuple[int, int] = (0, 1), seed: int = 1) -> int:
+    """#E by baby-step/giant-step on random points of E and its twist E',
+    given that #E = r mod s for residue = (r, s).
 
     The candidates for #E stay an arithmetic progression in the Hasse
-    interval.  Each point A keeps the candidates M with M*A = O (on E)
-    or (2p + 2 - M)*A = O (on E', as #E + #E' = 2p + 2).  Points are
-    drawn alternately from E and E' until one candidate is left; for
-    p > 229 some point of E or E' has an order with a single multiple in
-    the Hasse interval (Cremona-Sutherland, JTNB 22, 2010).
+    interval, starting as its M = r mod s.  Each point A keeps the
+    candidates M with M*A = O (on E) or (2p + 2 - M)*A = O (on E', as
+    #E + #E' = 2p + 2).  Points are drawn alternately from E and E' until
+    one candidate is left; for p > 229 some point of E or E' has an order
+    with a single multiple in the Hasse interval (Cremona-Sutherland,
+    JTNB 22, 2010).  #E is a candidate throughout, as it kills every point
+    of E and 2p + 2 - #E every point of E', so the survivor is #E.  The
+    draws do not depend on the residue: after each one the candidates are
+    those of a run on the whole interval that are r mod s, so a residue
+    never takes more draws, and the first scan has 1/s of the candidates.
     """
     rng = random.Random(seed)
     p = C.p
@@ -303,7 +345,10 @@ def _count_bsgs(C: Curve, seed: int = 1) -> int:
     twist = Curve(C.field, g * g * C.a4, g * g * g * C.a6)
     w = isqrt(4 * p)
     # the candidates for #E are first + k*step for 0 <= k < count
-    first, step, count = p + 1 - w, 1, 2 * w + 1
+    r, step = residue
+    # the least M = r mod step with M >= p + 1 - w
+    first = p + 1 - w + (r - (p + 1 - w)) % step
+    count = (p + 1 + w - first) // step + 1
     for draw in range(COUNT_POINT_BUDGET):
         # on E', (M - (2p + 2))*A = O iff (2p + 2 - M)*A = O
         D, shift = (twist, 2 * p + 2) if draw % 2 else (C, 0)
@@ -321,12 +366,21 @@ def _count_bsgs(C: Curve, seed: int = 1) -> int:
 
 def count_points(C: Curve) -> FrobeniusData:
     """Exact #E(F_p): the character sum for p <= 229, BSGS on E and its
-    quadratic twist above (_count_bsgs)."""
+    quadratic twist above (_count_bsgs).
+
+    From p ~ 5.8e5 on, where the first scan's baby steps, isqrt(w) + 1 for
+    the Hasse interval's half-width w, reach _LAYER_MIN, BSGS starts on
+    #E mod 2 or 4 from _two_part: a progression 2 or 4 times sparser,
+    which still holds #E.  Below that the power x^p mod f costs about what
+    it saves, and BSGS runs on the whole interval.
+    """
     p = C.p
     if p <= EXHAUSTIVE_LIMIT:
         n = _count_exhaustive(C)
-    else:
+    elif isqrt(isqrt(4 * p)) + 1 < _LAYER_MIN:
         n = _count_bsgs(C)
+    else:
+        n = _count_bsgs(C, _two_part(C))
     return FrobeniusData(p, n, p + 1 - n)
 
 

@@ -23,6 +23,7 @@ from distmap.curve import (
     _count_exhaustive,
     _mul,
     _progression,
+    _two_part,
     count_points,
     point_add,
     point_neg,
@@ -186,7 +187,11 @@ def test_bsgs_j0_j1728_and_random_above_floor(p):
         if (4 * a4 ** 3 + 27 * a6 ** 2) % p == 0:
             continue
         C = Curve(F, a4, a6)
-        assert _count_bsgs(C) == _count_exhaustive(C), (p, a4, a6)
+        n = _count_exhaustive(C)
+        assert _count_bsgs(C) == n, (p, a4, a6)
+        # the progression of #E mod 2 or 4, which count_points starts on
+        # only above the gate
+        assert _count_bsgs(C, _two_part(C)) == n, (p, a4, a6)
 
 
 @settings(max_examples=40, deadline=None)
@@ -200,7 +205,73 @@ def test_bsgs_differential(n, a4, a6, seed):
     p = next(q for q in range(n, 0, -1) if is_prime(q))
     assume(p > 229 and (4 * a4 ** 3 + 27 * a6 ** 2) % p)
     C = Curve(PrimeField(p), a4, a6)
-    assert _count_bsgs(C, seed) == _count_exhaustive(C)
+    n = _count_exhaustive(C)
+    assert _count_bsgs(C, seed=seed) == n
+    assert _count_bsgs(C, _two_part(C), seed) == n
+
+
+def test_two_part_exact_on_small_curves():
+    # #E = r mod s on every curve with p < 60, by the brute-force order
+    classes = {(0, 4): 0, (1, 2): 0, (2, 4): 0}
+    with deadline(30):
+        for p in primes(3, 60):
+            for sc in small_curves(p):
+                r, s = _two_part(sc.curve)
+                assert sc.order % s == r, sc.curve
+                classes[r, s] += 1
+    # three roots or one root with f'(r0) a square; no root; one root with
+    # f'(r0) a non-square
+    assert classes == {(0, 4): 6554, (1, 2): 5578, (2, 4): 4182}
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(230, (1 << 14) - 1),
+    a4=st.integers(0, 1 << 14),
+    a6=st.integers(0, 1 << 14),
+)
+def test_two_part_differential(n, a4, a6):
+    p = next(q for q in range(n, 0, -1) if is_prime(q))
+    assume(p > 229 and (4 * a4 ** 3 + 27 * a6 ** 2) % p)
+    C = Curve(PrimeField(p), a4, a6)
+    r, s = _two_part(C)
+    assert _count_exhaustive(C) % s == r
+
+
+@pytest.mark.parametrize("p,calls", [(578353, 0), (578363, 1)])
+def test_count_two_part_gate(count_calls, p, calls):
+    # the first scan's baby steps, isqrt(isqrt(4p)) + 1, are 39 at the
+    # largest prime below the gate and curve._LAYER_MIN = 40 at the first
+    # prime above it
+    two_part = count_calls(curve, "_two_part")
+    count_points(Curve(PrimeField(p), 3, 7))
+    assert len(two_part) == calls
+
+
+P42 = 4398046511093  # the largest prime below 2^42
+
+
+@pytest.mark.parametrize(
+    "a6,chi,residue,n",
+    [
+        # chi: the discriminant's Legendre symbol, -1 iff f has one root
+        (1, 1, (0, 4), 4398045472572),  # three roots
+        (2, 1, (1, 2), 4398043953513),  # no root
+        (3, -1, (2, 4), 4398046021590),  # one root, f'(r0) a non-square
+        (15, -1, (0, 4), 4398047315792),  # one root, f'(r0) a square
+    ],
+)
+def test_count_2_42_on_each_two_part_class(a6, chi, residue, n):
+    # #E as counted over the whole Hasse interval, before the residue
+    C = Curve(PrimeField(P42), 3, a6)
+    assert C.field.legendre(-(4 * 3 ** 3 + 27 * a6 ** 2)) == chi
+    assert _two_part(C) == residue
+    assert count_points(C).order_n == n
+    for A in random_points(C, a6, 5):
+        assert scalar_mul(C, n, A) is None
+    E2 = _twist(C)
+    for A in random_points(E2, a6 + 1, 5):
+        assert scalar_mul(E2, 2 * P42 + 2 - n, A) is None
 
 
 def test_bsgs_below_floor_exact_or_typed():
@@ -372,10 +443,14 @@ def test_count_op_counts(monkeypatch, p):
         # the least non-residue 17 is searched for once per field, not once
         # per square root and again for the twist (33 calls when repeated)
         assert calls["legendre"] < 33
-    if p == 16777213:
-        # the steps of _annihilators share one inversion per layer; with one
-        # inversion per addition this count took 228
-        assert calls["inv"] == 73
+    # below the gate of _two_part the whole Hasse interval is scanned, one
+    # _add and one inversion per step; above it, the progression of #E mod
+    # 2 or 4, in doubling layers that share one inversion each
+    assert (calls["inv"], calls["add"]) == {
+        65521: (73, 75),
+        65519: (72, 74),
+        16777213: (72, 182),
+    }[p]
 
 
 def test_count_twist_by_least_non_residue(monkeypatch):
