@@ -13,9 +13,8 @@ computing End(E) from scratch is out of scope.
 
 from math import isqrt
 
-from .endo import TorsionMatrix, char_poly_mod_ell, quadratic_roots_mod
+from .endo import TorsionMatrix, quadratic_roots_mod
 from .field import check_ell
-from .torsion import subgroup_lines
 
 NO_DISTORTION = "NoDistortion"
 INERT = "Inert"
@@ -165,36 +164,21 @@ def classify_case(od: OrderData, ell: int) -> ClassificationReport:
     return ClassificationReport(tag, ell, notes=notes)
 
 
-def _eigenline(M: TorsionMatrix, lam: int) -> tuple:
-    """The kernel of M - lam*I, for non-scalar M and an eigenvalue lam,
-    as the subgroup_lines coordinates (0, 1) or (1, k)."""
-    ell = M.ell
-    (a, b), (c, d) = M.entries
-    # M - lam*I has rank 1, so its nonzero row (r0, r1) alone fixes the
-    # kernel, which (r1, -r0) spans
-    r0, r1 = (a - lam, b) if (a - lam) % ell or b else (c, d - lam)
-    x, y = r1 % ell, -r0 % ell
-    if x == 0:
-        return (0, 1)
-    return (1, y * pow(x, -1, ell) % ell)
-
-
 def distortion_census(M: TorsionMatrix) -> ClassificationReport:
     """Mark each order-ell subgroup distorted iff it is not an eigenline.
 
-    A scalar M fixes every line; otherwise each distinct root of the
-    characteristic polynomial gives exactly one eigenline."""
+    With M = ((a, b), (c, d)), <Q> = (0, 1) is an eigenline iff b = 0, and
+    <P + k*Q> = (1, k) iff b*k^2 + (a - d)*k - c = 0 mod ell.  A scalar M
+    zeroes that polynomial, so every line is an eigenline; otherwise there
+    are 0, 1 or 2, which index CASES."""
     ell = M.ell
-    if M.is_scalar():
-        return ClassificationReport(
-            NO_DISTORTION, ell, census_distorted=0,
-            eigen_subgroups=subgroup_lines(ell),
-        )
-    roots = quadratic_roots_mod(char_poly_mod_ell(M), ell)
-    eigen = sorted(_eigenline(M, lam) for lam in roots)
+    (a, b), (c, d) = M.entries
+    eigen = [(0, 1)] if b == 0 else []
+    eigen += [(1, k) for k in quadratic_roots_mod((b, a - d, -c), ell)]
+    n = len(eigen)
     return ClassificationReport(
-        CASES[len(roots)], ell,
-        census_distorted=ell + 1 - len(eigen), eigen_subgroups=eigen,
+        NO_DISTORTION if n == ell + 1 else CASES[n], ell,
+        census_distorted=ell + 1 - n, eigen_subgroups=eigen,
     )
 
 

@@ -243,7 +243,8 @@ def _progression(C: Curve, G: Point, S: Point, n: int) -> list:
 
 def _annihilators(C: Curve, A: Point, first: int, step: int, count: int):
     """The k in [0, count) with (first + k*step)*A = O, as (k0, e): they are
-    exactly k0, k0 + e, k0 + 2e, ... below count.  At least one must exist.
+    exactly k0, k0 + e, k0 + 2e, ... below count.  Raises ValueError,
+    naming the progression, when there is none.
 
     Baby-step/giant-step in k with B = step*A.  Baby steps j*B are keyed by
     x, so one entry stands for +-j*B.  A baby step that meets O, a point
@@ -258,6 +259,7 @@ def _annihilators(C: Curve, A: Point, first: int, step: int, count: int):
     m = isqrt(count // 2) + 1
     table = {}  # x(j*B) -> (j, y(j*B)) for 1 <= j <= m
     babies = _progression(C, B, B, m + 1)
+    hits = []
     for j, T in zip(range(1, m + 1), babies):
         if T is None or T[1] == 0 or T[0] in table:
             # j*B is O, of order 2, or -i*B for an i < j (i*B = j*B would
@@ -269,23 +271,29 @@ def _annihilators(C: Curve, A: Point, first: int, step: int, count: int):
                 e = 2 * j if T[1] == 0 else j + table[T[0]][0]
                 table.setdefault(T[0], (j, T[1]))
             if base is None:
-                return 0, e
-            i, y = table[base[0]]
-            return (-i if base[1] == y else i) % e, e
+                hits = [0]
+            elif base[0] in table:  # else base is not in <B>
+                i, y = table[base[0]]
+                hits = [(-i if base[1] == y else i) % e]
+            break
         table[T[0]] = (j, T[1])
-    # giant steps: G = (first + c*step)*A at window centres c = m + i(2m + 1)
-    windows = range(m, count + m, 2 * m + 1)
-    mB, T = babies[m - 1], babies[m]
-    hits = []
-    giants = _progression(C, _add(C, base, mB), _add(C, mB, T), len(windows))
-    for c, G in zip(windows, giants):
-        if G is None:
-            hits.append(c)
-        elif G[0] in table:
-            j, y = table[G[0]]
-            hits.append(c - j if G[1] == y else c + j)
+    else:
+        # giant steps: G = (first + c*step)*A at window centres
+        # c = m + i(2m + 1)
+        windows = range(m, count + m, 2 * m + 1)
+        mB, T = babies[m - 1], babies[m]
+        giants = _progression(C, _add(C, base, mB), _add(C, mB, T), len(windows))
+        for c, G in zip(windows, giants):
+            if G is None:
+                hits.append(c)
+            elif G[0] in table:
+                j, y = table[G[0]]
+                hits.append(c - j if G[1] == y else c + j)
+        e = count  # read only with one hit: no other lies below count
     hits = [k for k in hits if k < count]
-    return hits[0], (hits[1] - hits[0] if len(hits) > 1 else count)
+    if not hits:
+        raise ValueError(f"no k in [0, {count}) has ({first} + k*{step})*{A} = O")
+    return hits[0], (hits[1] - hits[0] if len(hits) > 1 else e)
 
 
 def _two_part(C: Curve) -> Tuple[int, int]:
@@ -338,6 +346,11 @@ def _count_bsgs(C: Curve, residue: Tuple[int, int] = (0, 1), seed: int = 1) -> i
     draws do not depend on the residue: after each one the candidates are
     those of a run on the whole interval that are r mod s, so a residue
     never takes more draws, and the first scan has 1/s of the candidates.
+
+    A residue that does not hold #E usually leaves no candidate, and
+    _annihilators raises ValueError; but a wrong survivor can be left and
+    is returned as #E.  So a residue not proven, as _two_part's is, needs
+    a certificate of the count it gives.
     """
     rng = random.Random(seed)
     p = C.p

@@ -155,10 +155,6 @@ class TorsionMatrix:
         (a, b), (c, d) = self.entries
         return (a * d - b * c) % self.ell
 
-    def is_scalar(self) -> bool:
-        (a, b), (c, d) = self.entries
-        return b == 0 and c == 0 and a == d
-
     def __eq__(self, other):
         return isinstance(other, TorsionMatrix) and other.entries == self.entries
 
@@ -182,7 +178,9 @@ def char_poly_mod_ell(M: TorsionMatrix) -> tuple:
 
 
 def quadratic_roots_mod(coeffs: tuple, ell: int) -> list:
-    """Sorted roots in Z/ell, ell prime, of a monic quadratic given as
-    (1, c1, c0): a scan of Z/ell, at most field.ELL_CAP steps."""
-    _, c1, c0 = coeffs
-    return [x for x in range(ell) if (x * x + c1 * x + c0) % ell == 0]
+    """Sorted roots in Z/ell, ell prime, of c2*X^2 + c1*X + c0 given as
+    (c2, c1, c0), every x when all three are 0 mod ell: a scan of Z/ell,
+    at most field.ELL_CAP steps."""
+    c2, c1, c0 = coeffs
+    t = -c0 % ell
+    return [x for x in range(ell) if (c2 * x + c1) * x % ell == t]

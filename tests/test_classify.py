@@ -4,6 +4,7 @@ from math import isqrt
 
 import pytest
 
+from conftest import A97, P97
 from distmap.classify import (
     INERT,
     NO_DISTORTION,
@@ -21,13 +22,26 @@ from distmap.classify import (
     distortion_census,
     verify_theorem1,
 )
-from distmap.endo import TorsionMatrix, char_poly_mod_ell, quadratic_roots_mod
+from distmap.cli import main, point_str
+from distmap.endo import (
+    TorsionMatrix,
+    char_poly_mod_ell,
+    endo_matrix,
+    make_catalog_endo,
+    quadratic_roots_mod,
+)
 from distmap.field import PrimeField, is_prime
 from distmap.torsion import subgroup_lines
 
 
 def matrix(ell, a, b, c, d):
     return TorsionMatrix(ell, ((a, b), (c, d)))
+
+
+def _scalar(M):
+    """M is k*I, read from its entries alone."""
+    (a, b), (c, d) = M.entries
+    return b == c == 0 and a == d
 
 
 def test_decompose_f701():
@@ -226,7 +240,7 @@ def test_census_trichotomy_all_nonscalar_matrices(ell):
         M = matrix(ell, a, b, c, d)
         report = distortion_census(M)
         assert 0 <= report.census_distorted <= ell + 1
-        if M.is_scalar():
+        if _scalar(M):
             assert report.census_distorted == 0
             continue
         assert report.census_distorted in (ell - 1, ell, ell + 1)
@@ -249,7 +263,7 @@ def _census_by_scan(M):
              if (x * (c * x + d * y) - y * (a * x + b * y)) % ell == 0]
     roots = [r for r in range(ell)
              if (r * r - M.trace() * r + M.det()) % ell == 0]
-    if M.is_scalar():
+    if _scalar(M):
         tag = NO_DISTORTION
     elif not roots:
         tag = INERT
@@ -268,6 +282,24 @@ def test_census_closed_form_matches_scan(ell):
         report = distortion_census(M)
         got = (report.case_tag, report.census_distorted, report.eigen_subgroups)
         assert got == _census_by_scan(M), M
+
+
+def test_census_listing_ell97(capsys, basis97):
+    # the CLI census at ell = 97, its generators from one layered
+    # progression, against a listing built here: each generator by two
+    # scalar multiplications, each mark from the scan above
+    B = basis97  # seed 0, the CLI's default
+    tag, distorted, eigen = _census_by_scan(
+        endo_matrix(make_catalog_endo("sqrt_minus_one", B.curve), B))
+    want = [f"P={point_str(B.P)}", f"Q={point_str(B.Q)}"]
+    want += [f"subgroup={point_str(B.combine(x, y))}:"
+             + ("eigen" if (x, y) in eigen else "distorted")
+             for x, y in subgroup_lines(97)]
+    want += [f"distorted={distorted}", f"case={tag}"]
+    code = main(["census", "--p", str(P97), "--a4", str(A97), "--a6", "0",
+                 "--ell", "97", "--phi", "sqrt_minus_one"])
+    assert capsys.readouterr().out.splitlines() == want
+    assert (code, tag, distorted) == (0, SPLIT, 96)
 
 
 def _symbol(d, ell):
@@ -290,9 +322,16 @@ def test_quadratic_roots_match_scan(ell):
         assert all((x * x + c1 * x + c0) % ell == 0 for x in roots), (c1, c0)
 
 
-def test_verify_theorem1_paper_configurations(basis5, basis2, alpha, ex2_curve):
-    from distmap.endo import endo_matrix, make_catalog_endo
+def test_quadratic_roots_lower_degree():
+    # the leading coefficient counts: a linear polynomial has its one root,
+    # a nonzero constant none, and the zero polynomial all of Z/ell
+    assert quadratic_roots_mod((0, 3, 1), 7) == [2]  # 3x + 1 = 0 mod 7
+    assert quadratic_roots_mod((7, 0, 5), 7) == []
+    assert quadratic_roots_mod((0, 7, -14), 7) == list(range(7))
+    assert quadratic_roots_mod((2, 0, -8), 11) == [2, 9]  # 2(x^2 - 4)
 
+
+def test_verify_theorem1_paper_configurations(basis5, basis2, alpha, ex2_curve):
     od_ex2 = OrderData(-7, 20, 1)
     assert verify_theorem1(od_ex2, endo_matrix(alpha, basis5), 5).census_distorted == 6
     assert verify_theorem1(od_ex2, endo_matrix(alpha, basis2), 2).census_distorted == 1

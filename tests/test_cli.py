@@ -404,6 +404,37 @@ def test_paper_examples_reason_names_exception(capsys, monkeypatch):
     assert captured.err == "reason[broken row]=ValueError: boom\n"
 
 
+def test_paper_examples_rows_own_their_failures(capsys, monkeypatch):
+    # the bases and matrices are built inside the rows that use them: a
+    # broken endo_matrix fails those rows alone, each with its reason, and
+    # every other row still runs
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "endo_matrix", boom)
+    code = main(["paper-examples"])
+    captured = capsys.readouterr()
+    broken = {"ex2 matrix (0 -1 / 2 1) mod 5",
+              "ex2 trace=1 det=2 charpoly irreducible mod 5",
+              "ex2 classify ell=5 Inert, census 6/6",
+              "ex3 matrix diag(0,1), eigenvalues 0 and 1",
+              "ex3 classify ell=2 Split, census 1/3",
+              *(f"ex1 p={p} [i] fixes <(0,0)>, Ramified, census 2/3"
+                for p in (5, 13, 17, 29))}
+    want, reasons = [], []
+    for line in PAPER_EXAMPLES_STDOUT.splitlines()[:-1]:
+        label = line[6:]
+        if label in broken:
+            line = f"FAIL  {label}"
+            reasons.append(f"reason[{label}]=RuntimeError: boom")
+        elif line.startswith("FAIL"):  # the known red row
+            reasons.append(f"reason[{label}]=check returned false")
+        want.append(line)
+    assert code == 1
+    assert captured.out.splitlines() == [*want, "total=17 failed=10"]
+    assert captured.err.splitlines() == reasons
+
+
 # each catalog curve, by name and by coefficients, with its ell, its first
 # map (scalar(2) where it has none) and a true and a false DDH triple; or
 # a small curve by coefficients, with an ell

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from math import isqrt
 
@@ -365,6 +366,54 @@ def test_annihilators_layered_against_scan(p, a4, a6, A, first, step, count):
     assert (isqrt(count // 2) + 2 >= curve._LAYER_MIN) == layered
     k0, e = _annihilators(C, A, first, step, count)
     assert list(range(k0, count, e)) == _annihilators_by_scan(C, A, first, step, count)
+
+
+# progressions that hold no annihilator of A, one per way of finding none
+_EMPTY_ROWS = [
+    # the baby steps exit early (B = O) and first*A is not in <B>
+    (701, -35, 98, None, 1, 700, 5),
+    # they exit early (B of order 2) and the one solution, k = 1, is past
+    # count
+    (701, -35, 98, (319, 0), 1, 1, 1),
+    # the giant steps meet no baby step, sequentially and in layers
+    (P20, 3, 7, None, 1048550 - 500, 1, 100),
+    (P20, 3, 7, None, 1048550 - 5000, 1, 4000),
+]
+_NO_ANNIHILATOR = r"no k in \[0, \d+\) has \(-?\d+ \+ k\*\d+\)\*\(\d+, \d+\) = O"
+
+
+@pytest.mark.parametrize("p,a4,a6,A,first,step,count", _EMPTY_ROWS)
+def test_annihilators_none_is_a_typed_error(p, a4, a6, A, first, step, count):
+    C = Curve(PrimeField(p), a4, a6)
+    A = A or random_points(C, first, 1)[0]
+    assert _annihilators_by_scan(C, A, first, step, count) == []
+    with pytest.raises(ValueError, match=_NO_ANNIHILATOR):
+        _annihilators(C, A, first, step, count)
+
+
+@pytest.mark.parametrize("p", [233, 1009, 65521, 16777213])
+def test_bsgs_wrong_residue(p):
+    # a residue that misses #E: each run raises the ValueError that names
+    # the progression, or returns a count (a wrong survivor, which the
+    # residue's caller must rule out); never IndexError or KeyError
+    F = PrimeField(p)
+    rng = random.Random(p)
+    raised = 0
+    for _ in range(6):
+        a4, a6 = rng.randrange(p), rng.randrange(p)
+        if (4 * a4 ** 3 + 27 * a6 ** 2) % p == 0:
+            continue
+        C = Curve(F, a4, a6)
+        n = count_points(C).order_n
+        for r, s in ((0, 2), (1, 2), (0, 4), (1, 4), (2, 4), (3, 4)):
+            if n % s == r:
+                continue
+            try:
+                assert isinstance(_count_bsgs(C, (r, s)), int)
+            except ValueError as exc:
+                assert re.fullmatch(_NO_ANNIHILATOR, str(exc)), exc
+                raised += 1
+    assert raised > 0
 
 
 @pytest.mark.parametrize("p", [P20, 1073741789, 1099511627689])

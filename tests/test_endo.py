@@ -128,7 +128,6 @@ def test_scalar_matrix(basis5, ex2_curve):
     e = make_catalog_endo("scalar(3)", ex2_curve)
     M = endo_matrix(e, basis5)
     assert M.entries == ((3, 0), (0, 3))
-    assert M.is_scalar()
 
 
 def test_charpoly_values(basis5, basis2, alpha, ex2_curve):
