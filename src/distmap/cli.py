@@ -40,7 +40,7 @@ from .endo import (
     make_catalog_endo,
     quadratic_roots_mod,
 )
-from .field import PrimeField
+from .field import PrimeField, check_ell
 from .pairing import weil_pairing
 from .torsion import (
     TorsionBasis,
@@ -68,7 +68,7 @@ def parse_point(text: str):
 
 def _resolve_curve(args):
     """(curve, frob, conductor) from --name, re-reduced when --p names
-    another prime, or from --p/--a4/--a6; --conductor overrides."""
+    another prime, or from --p/--a4/--a6."""
     if args.name and (args.a4 is not None or args.a6 is not None):
         raise ValueError("give --name or --a4/--a6, not both")
     if args.name:
@@ -81,9 +81,15 @@ def _resolve_curve(args):
             raise ValueError("need --name or all of --p/--a4/--a6")
         curve = Curve(PrimeField(args.p), args.a4, args.a6)
         frob, conductor = count_points(curve), 1
-    if args.conductor is not None:
-        conductor = args.conductor
     return curve, frob, conductor
+
+
+def _order_data(args) -> tuple:
+    """(curve, frob, OrderData) of the resolved curve; --conductor
+    overrides its conductor."""
+    curve, frob, c = _resolve_curve(args)
+    c = c if args.conductor is None else args.conductor
+    return curve, frob, OrderData.from_frobenius(frob.trace_t, frob.q, c)
 
 
 def _resolve_basis(args) -> tuple:
@@ -112,8 +118,7 @@ def _emit(**fields) -> None:
 
 
 def cmd_curve_info(args) -> int:
-    curve, frob, c = _resolve_curve(args)
-    od = OrderData.from_frobenius(frob.trace_t, frob.q, c)
+    curve, frob, od = _order_data(args)
     _emit(p=curve.p, a4=curve.a4, a6=curve.a6, order=frob.order_n,
           t=frob.trace_t, d_K=od.d_K, f_pi=od.f_pi, conductor=od.c,
           ordinary="true")
@@ -149,8 +154,8 @@ def cmd_endo_matrix(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    _, frob, c = _resolve_curve(args)
-    od = OrderData.from_frobenius(frob.trace_t, frob.q, c)
+    _, frob, od = _order_data(args)
+    check_ell(args.ell, frob.q)
     report = classify_case(od, args.ell)
     _emit(ell=args.ell, case=report.case_tag,
           predicted_distorted=report.predicted_count())
@@ -217,46 +222,46 @@ def _ddh_check(B: TorsionBasis, phi) -> bool:
 
 def _paper_example_rows():
     """(label, check) pairs reproducing the worked examples' assertions."""
-    ex2 = catalog_mod.get_entry("ex2-f701")
-    C = ex2.curve
-    al = make_catalog_endo("alpha_701", C)
     P5, Q5 = (224, 31), (573, 450)
     # built by the first row that needs them, so a failure is that row's
-    B5 = cache(lambda: TorsionBasis(TorsionContext(5, C, ex2.frob), P5, Q5))
-    M5 = cache(lambda: endo_matrix(al, B5()))
-    B2 = cache(lambda: TorsionBasis(TorsionContext(2, C, ex2.frob), (319, 0), (389, 0)))
-    M2 = cache(lambda: endo_matrix(al, B2()))
+    ex2 = cache(lambda: catalog_mod.get_entry("ex2-f701"))
+    al = cache(lambda: make_catalog_endo("alpha_701", ex2().curve))
+    B5 = cache(lambda: TorsionBasis(TorsionContext(5, ex2().curve, ex2().frob), P5, Q5))
+    M5 = cache(lambda: endo_matrix(al(), B5()))
+    B2 = cache(lambda: TorsionBasis(TorsionContext(2, ex2().curve, ex2().frob),
+                                    (319, 0), (389, 0)))
+    M2 = cache(lambda: endo_matrix(al(), B2()))
     return [
         ("ex2 point count #E=700 t=2",
-         lambda: (ex2.frob.order_n, ex2.frob.trace_t) == (700, 2)),
+         lambda: (ex2().frob.order_n, ex2().frob.trace_t) == (700, 2)),
         ("ex2 alpha(224,31)=(173,194)",
-         lambda: endo_eval(al, P5) == (173, 194)),
+         lambda: endo_eval(al(), P5) == (173, 194)),
         ("ex2 alpha(573,450)=(463,495)",
-         lambda: endo_eval(al, Q5) == (463, 495)),
+         lambda: endo_eval(al(), Q5) == (463, 495)),
         ("ex2 e_5(P,alpha(P))=464",
-         lambda: weil_pairing(C, 5, P5, endo_eval(al, P5)) == 464),
+         lambda: weil_pairing(ex2().curve, 5, P5, endo_eval(al(), P5)) == 464),
         ("ex2 e_5(Q,alpha(Q))=89",
-         lambda: weil_pairing(C, 5, Q5, endo_eval(al, Q5)) == 89),
+         lambda: weil_pairing(ex2().curve, 5, Q5, endo_eval(al(), Q5)) == 89),
         ("ex2 matrix (0 -1 / 2 1) mod 5",
          lambda: M5().entries == ((0, 4), (2, 1))),
         ("ex2 trace=1 det=2 charpoly irreducible mod 5",
          lambda: M5().trace() == 1 and M5().det() == 2
          and not quadratic_roots_mod(char_poly_mod_ell(M5()), 5)),
         ("ex2 classify ell=5 Inert, census 6/6",
-         lambda: classify_case(ex2.order, 5).case_tag == INERT
+         lambda: classify_case(ex2().order, 5).case_tag == INERT
          and distortion_census(M5()).census_distorted == 6),
         ("ex3 alpha(319,0)=O alpha(389,0)=(389,0)",
-         lambda: endo_eval(al, (319, 0)) is None
-         and endo_eval(al, (389, 0)) == (389, 0)),
+         lambda: endo_eval(al(), (319, 0)) is None
+         and endo_eval(al(), (389, 0)) == (389, 0)),
         ("ex3 matrix diag(0,1), eigenvalues 0 and 1",
          lambda: M2().entries == ((0, 0), (0, 1))),
         ("ex3 classify ell=2 Split, census 1/3",
-         lambda: classify_case(ex2.order, 2).case_tag == SPLIT
+         lambda: classify_case(ex2().order, 2).case_tag == SPLIT
          and distortion_census(M2()).census_distorted == 1),
         *[(f"ex1 p={p} [i] fixes <(0,0)>, Ramified, census 2/3",
            partial(_ex1_check, p)) for p in (5, 13, 17, 29)],
         ("ex4 reduction mod 13 ok, NoDistortion, mod 11 bad", _ex4_check),
-        ("ddh exhaustive 125 triples on ex2", lambda: _ddh_check(B5(), al)),
+        ("ddh exhaustive 125 triples on ex2", lambda: _ddh_check(B5(), al())),
     ]
 
 
@@ -289,9 +294,8 @@ _CURVE = (
     ("--p", {"type": int, "help": "prime modulus"}),
     ("--a4", {"type": int}),
     ("--a6", "--b", {"dest": "a6", "type": int}),
-    ("--conductor", {"type": int, "help": "[O_K : O], overrides catalog"}),
-    ("--seed", {"type": int, "default": 0}),
 )
+_CONDUCTOR = ("--conductor", {"type": int, "help": "[O_K : O], overrides catalog"})
 _ELL = ("--ell", {"type": int, "required": True})
 _PHI = ("--phi", {"required": True})
 _A = ("--A", {"required": True})
@@ -300,16 +304,19 @@ _TRIPLE = ("--triple", {"required": True, "help": "scalars a,b,c"})
 _BASIS = (
     ("--A", {"help": "basis point P (default: sampled)"}),
     ("--B", {"help": "basis point Q (default: sampled)"}),
+    ("--seed", {"type": int, "default": 0}),
 )
 
 # one declaration per command: name, handler, help, flags
 _COMMANDS = (
-    ("curve-info", cmd_curve_info, "order, trace, discriminant data", _CURVE),
+    ("curve-info", cmd_curve_info, "order, trace, discriminant data",
+     (*_CURVE, _CONDUCTOR)),
     ("pairing", cmd_pairing, "Weil pairing of two points", (*_CURVE, _ELL, _A, _B)),
     ("endo-apply", cmd_endo_apply, "apply a catalog endomorphism", (*_CURVE, _PHI, _A)),
     ("endo-matrix", cmd_endo_matrix, "action matrix on E[ell]",
      (*_CURVE, _ELL, _PHI, *_BASIS)),
-    ("classify", cmd_classify, "distortion-map case for ell", (*_CURVE, _ELL)),
+    ("classify", cmd_classify, "distortion-map case for ell",
+     (*_CURVE, _CONDUCTOR, _ELL)),
     ("census", cmd_census, "per-subgroup distortion census",
      (*_CURVE, _ELL, _PHI, *_BASIS)),
     ("ddh", cmd_ddh, "decide a DDH triple on <P>",

@@ -217,8 +217,7 @@ def _random_point(C: Curve, rng: random.Random) -> Point:
 
 # Below this many points an inversion costs only a few products, so
 # _progression adds one point at a time (n <= 33 for the BSGS steps at
-# p < 2^18); layers start to pay near n = 40, p ~ 2^19, and so does the
-# count's start on #E mod 2 or 4 (count_points).
+# p < 2^18); layers start to pay near n = 40, p ~ 2^19.
 _LAYER_MIN = 40
 
 
@@ -378,20 +377,13 @@ def _count_bsgs(C: Curve, residue: Tuple[int, int] = (0, 1), seed: int = 1) -> i
 
 
 def count_points(C: Curve) -> FrobeniusData:
-    """Exact #E(F_p): the character sum for p <= 229, BSGS on E and its
-    quadratic twist above (_count_bsgs).
-
-    From p ~ 5.8e5 on, where the first scan's baby steps, isqrt(w) + 1 for
-    the Hasse interval's half-width w, reach _LAYER_MIN, BSGS starts on
-    #E mod 2 or 4 from _two_part: a progression 2 or 4 times sparser,
-    which still holds #E.  Below that the power x^p mod f costs about what
-    it saves, and BSGS runs on the whole interval.
-    """
+    """Exact #E(F_p): the character sum for p <= 229, above it BSGS on E
+    and its quadratic twist (_count_bsgs) over #E mod 2 or 4 from
+    _two_part, a progression of the Hasse interval 2 or 4 times sparser
+    that still holds #E."""
     p = C.p
     if p <= EXHAUSTIVE_LIMIT:
         n = _count_exhaustive(C)
-    elif isqrt(isqrt(4 * p)) + 1 < _LAYER_MIN:
-        n = _count_bsgs(C)
     else:
         n = _count_bsgs(C, _two_part(C))
     return FrobeniusData(p, n, p + 1 - n)

@@ -39,10 +39,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def check_ell(ell: int) -> None:
-    """Reject an ell that is not a prime <= ELL_CAP (ValueError)."""
+def check_ell(ell: int, p: int | None = None) -> None:
+    """Reject an ell that is not a prime <= ELL_CAP, or that is the
+    characteristic p when one is given (ValueError)."""
     if not is_prime(ell) or ell > ELL_CAP:
         raise ValueError(f"ell must be a prime <= {ELL_CAP}, got {ell}")
+    if ell == p:
+        raise ValueError("ell must differ from the field characteristic")
 
 
 class PrimeField:

@@ -34,11 +34,9 @@ class TorsionContext:
     """A curve together with a prime ell whose full torsion is rational."""
 
     def __init__(self, ell: int, curve: Curve, frob: FrobeniusData):
-        check_ell(ell)
+        check_ell(ell, curve.p)
         if frob.q != curve.p:
             raise ValueError(f"Frobenius data of F_{frob.q}, not of F_{curve.p}")
-        if ell == curve.p:
-            raise ValueError("ell must differ from the field characteristic")
         if frob.order_n % (ell * ell) != 0:
             raise TorsionNotRational(
                 f"ell^2 = {ell * ell} does not divide #E = {frob.order_n}"
@@ -94,11 +92,6 @@ class TorsionBasis:
         for i in range(self.ell):
             logs[power], power = i, power * self.zeta % p
         return logs
-
-    def combine(self, a: int, b: int) -> Point:
-        """a*P + b*Q."""
-        C = self.curve
-        return _add(C, _mul(C, a, self.P), _mul(C, b, self.Q))
 
     def __repr__(self):
         return f"TorsionBasis(ell={self.ell}, P={self.P}, Q={self.Q})"

@@ -4,7 +4,7 @@ from math import isqrt
 
 import pytest
 
-from conftest import A97, P97
+from conftest import A97, P97, combine
 from distmap.classify import (
     INERT,
     NO_DISTORTION,
@@ -292,7 +292,7 @@ def test_census_listing_ell97(capsys, basis97):
     tag, distorted, eigen = _census_by_scan(
         endo_matrix(make_catalog_endo("sqrt_minus_one", B.curve), B))
     want = [f"P={point_str(B.P)}", f"Q={point_str(B.Q)}"]
-    want += [f"subgroup={point_str(B.combine(x, y))}:"
+    want += [f"subgroup={point_str(combine(B, x, y))}:"
              + ("eigen" if (x, y) in eigen else "distorted")
              for x, y in subgroup_lines(97)]
     want += [f"distorted={distorted}", f"case={tag}"]

@@ -229,6 +229,11 @@ def test_name_with_prime_or_conductor_allowed(capsys, argv):
     (["curve-info", "--name", "nonexistent"],
      "unknown catalog entry 'nonexistent'; have ['ex1-f13', 'ex1-f17', "
      "'ex1-f29', 'ex1-f5', 'ex2-f701', 'ex4-13', 'ex4-rational']"),
+    # ell = p, which census rejects at its TorsionContext
+    (["classify", "--p", "7", "--a4", "1", "--a6", "1", "--ell", "7"],
+     "ell must differ from the field characteristic"),
+    (["classify", "--name", "ex2-f701", "--ell", "701"],
+     "ell must differ from the field characteristic"),
 ])
 def test_rejected_input_exit_2(capsys, argv, message):
     _one_error_line(capsys, argv, message)
@@ -239,18 +244,18 @@ CURVE_OPTIONS = [
     (("--p",), "p", int, None, False, None, "prime modulus"),
     (("--a4",), "a4", int, None, False, None, None),
     (("--a6", "--b"), "a6", int, None, False, None, None),
-    (("--conductor",), "conductor", int, None, False, None,
-     "[O_K : O], overrides catalog"),
-    (("--seed",), "seed", int, 0, False, None, None),
 ]
+CONDUCTOR = (("--conductor",), "conductor", int, None, False, None,
+             "[O_K : O], overrides catalog")
 ELL = (("--ell",), "ell", int, None, True, None, None)
 PHI = (("--phi",), "phi", None, None, True, None, None)
 BASIS = [
     (("--A",), "A", None, None, False, None, "basis point P (default: sampled)"),
     (("--B",), "B", None, None, False, None, "basis point Q (default: sampled)"),
+    (("--seed",), "seed", int, 0, False, None, None),
 ]
 PARSER_OPTIONS = {
-    "curve-info": CURVE_OPTIONS,
+    "curve-info": CURVE_OPTIONS + [CONDUCTOR],
     "pairing": CURVE_OPTIONS + [
         ELL,
         (("--A",), "A", None, None, True, None, None),
@@ -260,7 +265,7 @@ PARSER_OPTIONS = {
         PHI, (("--A",), "A", None, None, True, None, None),
     ],
     "endo-matrix": CURVE_OPTIONS + [ELL, PHI] + BASIS,
-    "classify": CURVE_OPTIONS + [ELL],
+    "classify": CURVE_OPTIONS + [CONDUCTOR, ELL],
     "census": CURVE_OPTIONS + [ELL, PHI] + BASIS,
     "ddh": CURVE_OPTIONS + [
         ELL, PHI,
@@ -330,7 +335,7 @@ def test_counting_exhausted_exit_2(capsys, monkeypatch):
     assert code == 2
     assert captured.out == ""
     assert captured.err == (
-        "error=point counting: 128 points left 63 candidates for #E\n"
+        "error=point counting: 128 points left 16 candidates for #E\n"
     )
 
 
@@ -405,34 +410,42 @@ def test_paper_examples_reason_names_exception(capsys, monkeypatch):
 
 
 def test_paper_examples_rows_own_their_failures(capsys, monkeypatch):
-    # the bases and matrices are built inside the rows that use them: a
-    # broken endo_matrix fails those rows alone, each with its reason, and
-    # every other row still runs
+    # the catalog entry, endomorphisms, bases and matrices are built inside
+    # the rows that use them: a broken builder fails those rows alone, each
+    # with its reason, and every other row still runs
     def boom(*args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "endo_matrix", boom)
-    code = main(["paper-examples"])
-    captured = capsys.readouterr()
-    broken = {"ex2 matrix (0 -1 / 2 1) mod 5",
-              "ex2 trace=1 det=2 charpoly irreducible mod 5",
-              "ex2 classify ell=5 Inert, census 6/6",
-              "ex3 matrix diag(0,1), eigenvalues 0 and 1",
-              "ex3 classify ell=2 Split, census 1/3",
-              *(f"ex1 p={p} [i] fixes <(0,0)>, Ramified, census 2/3"
-                for p in (5, 13, 17, 29))}
-    want, reasons = [], []
-    for line in PAPER_EXAMPLES_STDOUT.splitlines()[:-1]:
-        label = line[6:]
-        if label in broken:
-            line = f"FAIL  {label}"
-            reasons.append(f"reason[{label}]=RuntimeError: boom")
-        elif line.startswith("FAIL"):  # the known red row
-            reasons.append(f"reason[{label}]=check returned false")
-        want.append(line)
-    assert code == 1
-    assert captured.out.splitlines() == [*want, "total=17 failed=10"]
-    assert captured.err.splitlines() == reasons
+    lines = PAPER_EXAMPLES_STDOUT.splitlines()[:-1]
+    matrix_rows = {"ex2 matrix (0 -1 / 2 1) mod 5",
+                   "ex2 trace=1 det=2 charpoly irreducible mod 5",
+                   "ex2 classify ell=5 Inert, census 6/6",
+                   "ex3 matrix diag(0,1), eigenvalues 0 and 1",
+                   "ex3 classify ell=2 Split, census 1/3",
+                   *(f"ex1 p={p} [i] fixes <(0,0)>, Ramified, census 2/3"
+                     for p in (5, 13, 17, 29))}
+    # every row but the point count and ex4 needs alpha_701 or [i]
+    endo_rows = {line[6:] for line in lines} - {
+        "ex2 point count #E=700 t=2",
+        "ex4 reduction mod 13 ok, NoDistortion, mod 11 bad"}
+    for name, broken in (("endo_matrix", matrix_rows),
+                         ("make_catalog_endo", endo_rows)):
+        with monkeypatch.context() as m:
+            m.setattr(cli, name, boom)
+            code = main(["paper-examples"])
+        captured = capsys.readouterr()
+        want, reasons = [], []
+        for line in lines:
+            label = line[6:]
+            if label in broken:
+                line = f"FAIL  {label}"
+                reasons.append(f"reason[{label}]=RuntimeError: boom")
+            elif line.startswith("FAIL"):  # the known red row
+                reasons.append(f"reason[{label}]=check returned false")
+            want.append(line)
+        assert code == 1, name
+        assert captured.out.splitlines() == [*want, f"total=17 failed={len(reasons)}"]
+        assert captured.err.splitlines() == reasons
 
 
 # each catalog curve, by name and by coefficients, with its ell, its first

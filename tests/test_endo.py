@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from conftest import dlog_reference, random_points, small_curve, torsion_points
+from conftest import (
+    combine,
+    dlog_reference,
+    random_points,
+    small_curve,
+    torsion_points,
+)
 from distmap.catalog import get_entry
 from distmap.curve import Curve, count_points, point_add, point_neg, scalar_mul
 from distmap.endo import (
@@ -270,7 +276,7 @@ def test_sqrt_minus_one_one_denominator_matches_two_ell31(basis31):
     C = basis31.curve
     i, ref = make_catalog_endo("sqrt_minus_one", C), _sqrt_minus_one_reference(C)
     rng = random.Random(31)
-    pts = [basis31.combine(rng.randrange(31), rng.randrange(31)) for _ in range(64)]
+    pts = [combine(basis31, rng.randrange(31), rng.randrange(31)) for _ in range(64)]
     pts += random_points(C, 31, 128)
     for A in pts:
         assert i.image(A) == ref(A)

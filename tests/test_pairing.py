@@ -5,6 +5,7 @@ import re
 import pytest
 
 from conftest import (
+    combine,
     deadline,
     random_points,
     small_curve,
@@ -276,9 +277,9 @@ def test_read_matches_two_pass_ell31(basis31):
     outside = random_points(C, 0, 20)
     evaluations = collisions = 0
     for _ in range(20):
-        A = B.combine(rng.randrange(31), rng.randrange(1, 31))
+        A = combine(B, rng.randrange(31), rng.randrange(1, 31))
         walk = _walk(C, 31, A)
-        X_set = [B.combine(rng.randrange(31), rng.randrange(31)) for _ in range(20)]
+        X_set = [combine(B, rng.randrange(31), rng.randrange(31)) for _ in range(20)]
         X_set += [_mul(C, rng.randrange(1, 31), A)] + outside
         for X in X_set:
             if X is None:
@@ -296,7 +297,7 @@ def test_weil_matches_two_pass_ell31(basis31):
     B, C = basis31, basis31.curve
     rng = random.Random(31)
     for _ in range(300):
-        U, V = (B.combine(rng.randrange(31), rng.randrange(31)) for _ in "UV")
+        U, V = (combine(B, rng.randrange(31), rng.randrange(31)) for _ in "UV")
         assert weil_pairing(C, 31, U, V) == _weil_ref(C, 31, U, V)
 
 
@@ -390,7 +391,7 @@ def test_tate_bilinear(ell, basis5, basis31):
         a1, b1, a2, b2 = (rng.randrange(ell) for _ in range(4))
         if (a1 * b2 - a2 * b1) % ell == 0:
             continue  # keep X outside <A>
-        A, X = B.combine(a1, b1), B.combine(a2, b2)
+        A, X = combine(B, a1, b1), combine(B, a2, b2)
         t = _tate(C, ell, A, X)
         assert pow(t, ell, p) == 1
         a, b = rng.randrange(ell), rng.randrange(ell)
