@@ -110,9 +110,10 @@ def weil_pairing(C: Curve, ell: int, A: Point, B: Point) -> int:
     """Weil pairing e_ell(A, B) for A, B in E[ell], valued in mu_ell < F_p*.
 
     Computed from two Miller functions as (-1)^ell f_B(A) / f_A(B)
-    (Miller, J. Cryptology 17, 2004), and 1 when B lies in <A>.
+    (Miller, J. Cryptology 17, 2004), and 1 when B lies in <A>.  ell = p
+    is a ValueError: mu_p in F_p* is trivial.
     """
-    check_ell(ell)
+    check_ell(ell, C.p)
     A, B = C.validate(A), C.validate(B)
     if (A is None) != (B is None):
         # with O in one slot _weil walks nothing: walk the other point

@@ -234,6 +234,11 @@ def test_name_with_prime_or_conductor_allowed(capsys, argv):
      "ell must differ from the field characteristic"),
     (["classify", "--name", "ex2-f701", "--ell", "701"],
      "ell must differ from the field characteristic"),
+    # y^2 = x^3 + x + 5 over F_11 is anomalous (#E = 11): ell = p, where
+    # the Weil pairing is not defined
+    (["pairing", "--p", "11", "--a4", "1", "--a6", "5", "--ell", "11",
+      "--A", "0,4", "--B", "2,2"],
+     "ell must differ from the field characteristic"),
 ])
 def test_rejected_input_exit_2(capsys, argv, message):
     _one_error_line(capsys, argv, message)

@@ -5,7 +5,7 @@ import time
 from math import isqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import deadline, primes, random_points, small_curve, small_curves
@@ -24,6 +24,7 @@ from distmap.curve import (
     _count_exhaustive,
     _mul,
     _progression,
+    _three_part,
     _two_part,
     count_points,
     point_add,
@@ -244,6 +245,70 @@ def test_two_part_differential(n, a4, a6):
         assert count_points(C).order_n == n
 
 
+def test_three_part_exact_on_small_curves():
+    # #E mod 3 on every curve with 5 <= p < 60, by the brute-force order
+    checked = 0
+    with deadline(30):
+        for p in primes(5, 60):
+            for sc in small_curves(p):
+                assert _three_part(sc.curve) == sc.order % 3, sc.curve
+                checked += 1
+    assert checked == sum(p * (p - 1) for p in primes(5, 60))  # 16308
+
+
+def _three_torsion_lines(p, a4, a6):
+    """The roots in F_p of psi_3 = 3x^4 + 6a4x^2 + 12a6x - a4^2, by scan:
+    the lines of E[3] that Frobenius fixes."""
+    return sum((3 * x ** 4 + 6 * a4 * x * x + 12 * a6 * x - a4 * a4) % p == 0
+               for x in range(p))
+
+
+def test_three_part_differential(monkeypatch):
+    # every branch of _three_part: p = 1 mod 3 with 0, 1 or 4 fixed lines,
+    # p = 2 mod 3 with 2 (a root of psi_3) or none; the @example rows pin
+    # one curve per branch, the drawn ones add breadth
+    monkeypatch.setattr(curve, "THREE_PART_MIN", 0)
+    branches = set()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(230, 2999),
+        a4=st.integers(0, 1 << 14),
+        a6=st.integers(0, 1 << 14),
+    )
+    @example(n=241, a4=2, a6=4)  # p = 1 mod 3, no fixed line
+    @example(n=241, a4=1, a6=1)  # p = 1 mod 3, one
+    @example(n=241, a4=1, a6=2)  # p = 1 mod 3, four
+    @example(n=233, a4=1, a6=1)  # p = 2 mod 3, two
+    @example(n=233, a4=1, a6=2)  # p = 2 mod 3, none
+    def check(n, a4, a6):
+        p = next(q for q in range(n, 0, -1) if is_prime(q))
+        assume(p > 229 and (4 * a4 ** 3 + 27 * a6 ** 2) % p)
+        C = Curve(PrimeField(p), a4, a6)
+        n = _count_exhaustive(C)
+        assert _three_part(C) == n % 3
+        branches.add((p % 3, _three_torsion_lines(p, a4, a6)))
+        # count_points on the progression mod 6 or 12
+        if n == p + 1:
+            with pytest.raises(SupersingularCurve):
+                count_points(C)
+        else:
+            assert count_points(C).order_n == n
+
+    check()
+    assert branches == {(1, 0), (1, 1), (1, 4), (2, 0), (2, 2)}
+
+
+def test_three_part_no_case_is_a_typed_error(monkeypatch):
+    # y^2 = x^3 + x + 1 over F_241 has one fixed line of E[3]; an eigenvalue
+    # that is neither 1 nor -1 fits no case, and no residue is guessed
+    C = Curve(PrimeField(241), 1, 1)
+    assert _three_torsion_lines(241, 1, 1) == 1
+    monkeypatch.setattr(PrimeField, "legendre", lambda self, a: 0)
+    with pytest.raises(ValueError, match=r"\(1, 1\) fits no case"):
+        _three_part(C)
+
+
 P42 = 4398046511093  # the largest prime below 2^42
 
 
@@ -448,7 +513,7 @@ def test_count_2_48_kills_points_of_e_and_twist():
         assert scalar_mul(E2, 2 * p + 2 - n, A) is None
 
 
-@pytest.mark.parametrize("p", [65521, 65519, 16777213])
+@pytest.mark.parametrize("p", [65521, 65519, 16777213, P42])
 def test_count_op_counts(monkeypatch, p):
     # p = 65521 is 1 mod 16, so every square root also searches for a
     # non-residue; the character sum would make p Legendre calls
@@ -489,11 +554,13 @@ def test_count_op_counts(monkeypatch, p):
         assert calls["legendre"] < 33
     # the progression of #E mod 2 or 4: below curve._LAYER_MIN points one
     # _add and one inversion per step, from there on doubling layers that
-    # share one inversion each
+    # share one inversion each; at P42, above curve.THREE_PART_MIN, of #E
+    # mod 6 or 12 (122 inversions and 2140 additions mod 2 or 4)
     assert (calls["inv"], calls["add"]) == {
         65521: (61, 63),
         65519: (52, 54),
         16777213: (72, 182),
+        P42: (105, 1258),
     }[p]
 
 
