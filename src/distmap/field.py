@@ -91,36 +91,35 @@ class PrimeField:
     def sqrt(self, a: int):
         """Square root of a mod p, or None if a is a non-residue.
 
-        Returns the numerically smaller root of the pair so that results
-        are deterministic (r <= p - r).
+        Tonelli-Shanks in one path for every odd p (Cohen, Alg. 1.5.1): a is
+        a non-residue iff a^q has order 2^s, where p - 1 = q * 2^s, q odd.
+        Returns the smaller root of the pair (r <= p - r), for determinism.
         """
         p = self.p
         a %= p
         if a == 0:
             return 0
-        if self.legendre(a) != 1:
-            return None
-        if p % 4 == 3:
-            r = pow(a, (p + 1) // 4, p)
-            return min(r, p - r)
-        # Tonelli-Shanks
         q = p - 1
         s = 0
         while q % 2 == 0:
             q //= 2
             s += 1
-        m = s
-        c = pow(self.non_residue, q, p)
-        t = pow(a, q, p)
-        r = pow(a, (q + 1) // 2, p)
+        w = pow(a, (q - 1) // 2, p)
+        r = a * w % p
+        t = r * w % p
+        c = None
         while t != 1:
             i = 0
             t2 = t
             while t2 != 1:
                 t2 = t2 * t2 % p
                 i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            m = i
+            if i == s:
+                return None
+            if c is None:
+                c = pow(self.non_residue, q, p)
+            b = pow(c, 1 << (s - i - 1), p)
+            s = i
             c = b * b % p
             t = t * c % p
             r = r * b % p

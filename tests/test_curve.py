@@ -515,8 +515,10 @@ def test_count_2_48_kills_points_of_e_and_twist():
 
 @pytest.mark.parametrize("p", [65521, 65519, 16777213, P42])
 def test_count_op_counts(monkeypatch, p):
-    # p = 65521 is 1 mod 16, so every square root also searches for a
-    # non-residue; the character sum would make p Legendre calls
+    # Legendre calls come from the search for the least non-residue, once
+    # per field (16 at p = 65521), and from the descents for #E mod 2, 4 and
+    # 3; a square root reads residuosity from a^q and makes none (see
+    # test_field.test_sqrt_op_counts); the character sum would make p of them
     calls = {"legendre": 0, "add": 0, "inv": 0}
     legendre, add, add_each = PrimeField.legendre, curve._add, curve._add_each
     batched = []  # nonempty inside _add_each, which counts its own _add calls

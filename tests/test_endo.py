@@ -13,7 +13,9 @@ from conftest import (
 from distmap.catalog import get_entry
 from distmap.curve import Curve, count_points, point_add, point_neg, scalar_mul
 from distmap.endo import (
+    ImageOffCurve,
     IncompatibleCurve,
+    _rational_map,
     char_poly_mod_ell,
     endo_eval,
     endo_matrix,
@@ -48,6 +50,15 @@ def test_sqrt_minus_one_requires_p_1_mod_4():
         make_catalog_endo("sqrt_minus_one", Curve(PrimeField(7), 1, 0))
     with pytest.raises(IncompatibleCurve):
         make_catalog_endo("sqrt_minus_one", Curve(PrimeField(13), 1, 1))
+
+
+def test_image_off_curve_raises(ex2_curve):
+    # x -> x + 1, y -> y is no endomorphism: it sends (224, 31) on ex2 to
+    # (225, 31), off the curve, and the image function says so by label
+    image = _rational_map(ex2_curve, "bad", [1, 1], [1], [1])
+    assert ex2_curve.contains((224, 31)) and not ex2_curve.contains((225, 31))
+    with pytest.raises(ImageOffCurve, match=r"bad sent \(224, 31\) to \(225, 31\)"):
+        image((224, 31))
 
 
 def test_matrix_basis_on_another_curve(basis5):

@@ -1,6 +1,13 @@
+import random
+
 import pytest
 
+from distmap import field
 from distmap.field import PrimeField, ZeroInverse, is_prime
+
+# sqrt is checked for every a at each 2-adic shape of p - 1: v2(p - 1) = 1
+# (7, 103, 1019), 2 (13, 101, 997), 4 (17), 8 (257), 9 (7681) and 12 (12289)
+SQRT_PRIMES = [7, 13, 17, 101, 103, 257, 997, 1019, 7681, 12289]
 
 
 def test_rejects_composite_and_even():
@@ -51,7 +58,7 @@ def test_sqrt_nonresidue():
     assert PrimeField(5).sqrt(2) is None
 
 
-@pytest.mark.parametrize("p", [13, 17, 101, 997])
+@pytest.mark.parametrize("p", SQRT_PRIMES)
 def test_sqrt_squares_back(p):
     F = PrimeField(p)
     for a in range(p):
@@ -61,8 +68,49 @@ def test_sqrt_squares_back(p):
             assert r <= p - r
 
 
-@pytest.mark.parametrize("p", [13, 101, 997])
+@pytest.mark.parametrize("p", SQRT_PRIMES)
 def test_euler_criterion_agreement(p):
     F = PrimeField(p)
     for a in range(1, p):
         assert (F.legendre(a) == 1) == (F.sqrt(a) is not None)
+
+
+# v2(p - 1) = 16, 23, 30 and 1, the last at 2^61 - 1
+@pytest.mark.parametrize("p", [65537, 998244353, 3221225473, (1 << 61) - 1])
+def test_sqrt_sampled_at_deep_and_large_p(p):
+    F, rng = PrimeField(p), random.Random(p)
+    for a in [1, p - 1, F.non_residue] + [rng.randrange(1, p) for _ in range(1500)]:
+        r = F.sqrt(a)
+        if pow(a, (p - 1) // 2, p) == p - 1:
+            assert r is None
+        else:
+            assert r * r % p == a and r <= p - r
+
+
+@pytest.mark.parametrize("p", [7, 1019, 13, 7681, 12289, 998244353])
+def test_sqrt_op_counts(monkeypatch, count_calls, p):
+    # residuosity is read from the order of a^q (p - 1 = q * 2^s, q odd),
+    # so a non-residue costs the one power a^((q-1)/2), as does a residue
+    # with a^q = 1 (every residue when p = 3 mod 4); only a deeper residue
+    # also powers the non-residue and its 2^k-th powers
+    F = PrimeField(p)
+    q = p - 1
+    while q % 2 == 0:
+        q //= 2
+    legendre = count_calls(PrimeField, "legendre")
+    pows = []
+
+    def counted_pow(*args):
+        pows.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(field, "pow", counted_pow, raising=False)
+    rng = random.Random(p)
+    for a in [1, p - 1, F.non_residue] + [rng.randrange(1, p) for _ in range(200)]:
+        pows.clear()
+        r = F.sqrt(a)
+        if r is None or pow(a, q, p) == 1:
+            assert len(pows) == 1, a
+        else:
+            assert r * r % p == a
+    assert legendre == []
