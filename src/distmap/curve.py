@@ -175,19 +175,58 @@ def _add_each(C: Curve, As, B: Point):
 
 
 def _mul(C: Curve, k: int, A: Point) -> Point:
-    """k*A by double-and-add for A already known to lie on C; negative k
-    uses the inverse point."""
+    """k*A for A already known to lie on C; negative k uses the inverse point.
+
+    Left-to-right double-and-add in Jacobian coordinates (X : Y : Z) =
+    (X/Z^2, Y/Z^3), Z = 0 standing for O, adding the affine A by a mixed
+    addition (Cohen-Miyaji-Ono, ASIACRYPT 1998): no inversion in the loop,
+    and one at the end back to affine when k*A != O.
+    """
     if k < 0:
         k, A = -k, point_neg(C, A)
-    R: Point = None
-    Q = A
-    while k:
-        if k & 1:
-            R = _add(C, R, Q)
-        k >>= 1
-        if k:
-            Q = _add(C, Q, Q)
-    return R
+    if A is None or k == 0:
+        return None
+    p, a4 = C.p, C.a4
+    x, y = A
+    X, Y, Z = x, y, 1
+    for bit in bin(k)[3:]:
+        add = bit == "1"
+        while True:
+            # doubling; O (Z = 0) and a point of order 2 (Y = 0) give Z = 0
+            YY = Y * Y % p
+            S = 4 * X * YY % p
+            ZZ = Z * Z % p
+            M = (3 * X * X + a4 * ZZ * ZZ) % p
+            Z = 2 * Y * Z % p
+            X = (M * M - 2 * S) % p
+            Y = (M * (S - X) - 8 * YY * YY) % p
+            if not add:
+                break
+            add = False
+            if Z == 0:
+                X, Y, Z = x, y, 1
+                break
+            # mixed addition of A: H = 0 iff the running point is +-A
+            ZZ = Z * Z % p
+            H = (x * ZZ - X) % p
+            r = (y * ZZ * Z - Y) % p
+            if H == 0:
+                if r == 0:
+                    continue  # the running point is A: the sum 2A is its double
+                Z = 0
+                break
+            HH = H * H % p
+            HHH = H * HH % p
+            V = X * HH % p
+            X = (r * r - HHH - 2 * V) % p
+            Y = (r * (V - X) - Y * HHH) % p
+            Z = Z * H % p
+            break
+    if Z == 0:
+        return None
+    zi = pow(Z, -1, p)
+    zz = zi * zi % p
+    return (X * zz % p, Y * zz * zi % p)
 
 
 def point_add(C: Curve, A: Point, B: Point) -> Point:

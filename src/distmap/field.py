@@ -63,6 +63,9 @@ class PrimeField:
         # materializes the instance __dict__, and on CPython 3.11 every
         # later read of self.p then takes ~35 ns longer
         self.non_residue = next(z for z in range(2, p) if self.legendre(z) == -1)
+        # p - 1 = odd_part * 2^two_adicity, for Tonelli-Shanks
+        self.two_adicity = ((p - 1) & (1 - p)).bit_length() - 1
+        self.odd_part = (p - 1) >> self.two_adicity
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -99,11 +102,7 @@ class PrimeField:
         a %= p
         if a == 0:
             return 0
-        q = p - 1
-        s = 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
+        q, s = self.odd_part, self.two_adicity
         w = pow(a, (q - 1) // 2, p)
         r = a * w % p
         t = r * w % p

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import deadline, primes, random_points, small_curve, small_curves
+from conftest import (
+    A31,
+    N31,
+    P31,
+    deadline,
+    primes,
+    random_points,
+    small_curve,
+    small_curves,
+)
 from distmap import curve
 from distmap.curve import (
     BadReduction,
@@ -81,6 +90,79 @@ def test_negative_scalar(ex2_curve):
     assert scalar_mul(ex2_curve, -2, A) == point_neg(
         ex2_curve, scalar_mul(ex2_curve, 2, A)
     )
+
+
+def _mul_affine(C, k, A):
+    """k*A by affine double-and-add, a chain of _add: the reference for _mul."""
+    if k < 0:
+        k, A = -k, point_neg(C, A)
+    R = None
+    while k:
+        if k & 1:
+            R = _add(C, R, A)
+        A = _add(C, A, A)
+        k >>= 1
+    return R
+
+
+def test_mul_matches_chain_of_adds_on_small_curves():
+    # every point of up to three curves per p < 60: the first with a point
+    # of order 2, the first with one of order 3 and the first with neither;
+    # each k with |k| <= 2*ord(A) + 1, so that the running point of the
+    # loop meets A, -A and O
+    with deadline(5):
+        for p in primes(3, 60):
+            picks = [next((sc for sc in small_curves(p) if fits(sc.order)), None)
+                     for fits in (lambda n: n % 2 == 0, lambda n: n % 3 == 0,
+                                  lambda n: n % 2 and n % 3)]
+            for sc in filter(None, picks):
+                C = sc.curve
+                for A in sc.points:
+                    multiples, T = [None], A  # multiples[k] = k*A, k < ord(A)
+                    while T is not None:
+                        multiples.append(T)
+                        T = _add(C, T, A)
+                    order = len(multiples)
+                    for k in range(-2 * order - 1, 2 * order + 2):
+                        assert _mul(C, k, A) == multiples[k % order], (C, A, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(5, 1 << 61),  # from p = 5 on, every curve has an affine point
+    a4=st.integers(0, 1 << 62),
+    a6=st.integers(0, 1 << 62),
+    seed=st.integers(0, 1 << 32),
+    k=st.integers(-(1 << 70), 1 << 70),
+)
+@example(n=(1 << 61) - 1, a4=3, a6=7, seed=0, k=(1 << 70) - 1)
+def test_mul_matches_affine_reference_up_to_2_61(n, a4, a6, seed, k):
+    p = next(q for q in range(n, 0, -1) if is_prime(q))
+    assume((4 * a4 ** 3 + 27 * a6 ** 2) % p)
+    C = Curve(PrimeField(p), a4, a6)
+    A = random_points(C, seed, 1)[0]
+    assert _mul(C, k, A) == _mul_affine(C, k, A)
+
+
+def test_mul_one_inversion_unless_o(monkeypatch, ex2_curve):
+    # k*A != O costs the one inversion back to affine, k*A = O none; at
+    # 2^30 the multiples of #E meet O after 30 doublings
+    inversions = []
+
+    def counted_pow(*args):
+        inversions.append(args[1] == -1)
+        return pow(*args)
+
+    monkeypatch.setattr(curve, "pow", counted_pow, raising=False)
+    C31 = Curve(PrimeField(P31), A31, 0)
+    cases = [(ex2_curve, A, k) for A in small_curve(ex2_curve).points
+             for k in range(-11, 12)]
+    cases += [(C31, A, k) for A in random_points(C31, 31, 4)
+              for k in (1, 2, N31 - 1, N31, N31 + 1, -3 * N31, 1 << 40)]
+    for C, A, k in cases:
+        inversions.clear()
+        R = _mul(C, k, A)
+        assert sum(inversions) == (R is not None), (C, A, k)
 
 
 @pytest.mark.parametrize("p,a4,a6", [(13, 1, 0), (17, 2, 3), (31, 5, 7)])
@@ -548,7 +630,8 @@ def test_count_op_counts(monkeypatch, p):
     monkeypatch.setattr(curve, "pow", counted_pow, raising=False)
     count_points(Curve(PrimeField(p), 3, 7))
     assert calls["legendre"] <= 64
-    # every point addition, batched or not
+    # every affine point addition, batched or not: _mul's Jacobian steps
+    # call no _add, so add counts the BSGS progressions alone
     assert calls["add"] <= 6 * p ** 0.25
     if p == 65521:
         # the least non-residue 17 is searched for once per field, not once
@@ -556,13 +639,15 @@ def test_count_op_counts(monkeypatch, p):
         assert calls["legendre"] < 33
     # the progression of #E mod 2 or 4: below curve._LAYER_MIN points one
     # _add and one inversion per step, from there on doubling layers that
-    # share one inversion each; at P42, above curve.THREE_PART_MIN, of #E
-    # mod 6 or 12 (122 inversions and 2140 additions mod 2 or 4)
+    # share one inversion each, plus one inversion per _mul; at P42, above
+    # curve.THREE_PART_MIN, of #E mod 6 or 12 (44 inversions and 2058
+    # additions mod 2 or 4). With an inversion per double-and-add step in
+    # _mul these were (61, 63), (52, 54), (72, 182) and (105, 1258)
     assert (calls["inv"], calls["add"]) == {
-        65521: (61, 63),
-        65519: (52, 54),
-        16777213: (72, 182),
-        P42: (105, 1258),
+        65521: (35, 33),
+        65519: (26, 24),
+        16777213: (28, 134),
+        P42: (43, 1192),
     }[p]
 
 

@@ -5,6 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    A31,
+    N31,
+    P31,
     combine,
     deadline,
     dlog_reference,
@@ -15,7 +18,7 @@ from conftest import (
     taken,
     torsion_points,
 )
-from distmap import curve, pairing, torsion
+from distmap import curve, field, pairing, torsion
 from distmap.curve import (
     Curve,
     FrobeniusData,
@@ -38,8 +41,8 @@ from distmap.torsion import (
 
 def _ops(count_calls):
     """The call lists of Miller walks and reads, of point additions (each
-    _add, which _mul calls, and each batched _add_each call) and of _mul,
-    under each name the library imports them by."""
+    _add and each batched _add_each call) and of _mul, under each name the
+    library imports them by."""
     return [count_calls(module, name) for module, name in (
         (pairing, "_walk"), (pairing, "_read"), (curve, "_add"),
         (curve, "_add_each"), (curve, "_mul"))]
@@ -268,6 +271,25 @@ def test_find_basis_pinned(ex2_curve, ex2_frob, basis31):
     for seed, (P, Q) in enumerate(BASES_ELL31):
         B = find_torsion_basis(basis31.ctx, seed)
         assert (B.P, B.Q) == (P, Q), seed
+
+
+def test_find_basis_ell31_inversions(monkeypatch):
+    # the inversions mod p of one basis search on the ell = 31 curve: one
+    # per _mul that does not meet O, and those of the pairings' Miller
+    # walks (15); an inversion per double-and-add step in _mul made 89
+    C = Curve(PrimeField(P31), A31, 0)
+    ctx = TorsionContext(31, C, FrobeniusData(P31, N31, P31 + 1 - N31))
+    inversions = []
+
+    def counted_pow(*args):
+        inversions.append(args[1:] == (-1, P31))
+        return pow(*args)
+
+    for module in (curve, field, pairing, torsion):
+        monkeypatch.setattr(module, "pow", counted_pow, raising=False)
+    B = find_torsion_basis(ctx, 0)
+    assert (B.P, B.Q) == ((302694661, 1375251924), (711876631, 471181071))
+    assert sum(inversions) == 17
 
 
 def test_torsion_draw_one_mul_per_step(count_calls):
