@@ -28,7 +28,6 @@ from .endo import (
     endo_eval,
     endo_matrix,
     make_catalog_endo,
-    shifted_endo,
 )
 from .classify import (
     ClassificationReport,

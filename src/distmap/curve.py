@@ -71,12 +71,6 @@ class Curve:
         """x^3 + a4*x + a6 mod p."""
         return (x * x % self.p * x + self.a4 * x + self.a6) % self.p
 
-    def contains(self, A: Point) -> bool:
-        if A is None:
-            return True
-        x, y = A
-        return y * y % self.p == self.rhs(x)
-
     def validate(self, A: Point) -> Point:
         """Canonicalize coordinates and check the curve equation."""
         if A is None:

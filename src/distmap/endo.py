@@ -17,7 +17,7 @@ of the denominator (kernel points) go to the identity.
 
 import re
 
-from .curve import Curve, Point, _add, _mul
+from .curve import Curve, Point, PointNotOnCurve, _mul
 from .torsion import TorsionBasis, dlog2d
 
 
@@ -69,9 +69,10 @@ def _rational_map(C: Curve, label: str, x_num, y_num, den):
         xi = _poly_eval(x_num, x, p) * inv % p
         yi = y * _poly_eval(y_num, x, p) % p * inv % p * inv % p
         img = (xi, yi)
-        if not C.contains(img):
-            raise ImageOffCurve(f"{label} sent {A} to {img}, off the curve")
-        return img
+        try:
+            return C.validate(img)
+        except PointNotOnCurve:
+            raise ImageOffCurve(f"{label} sent {A} to {img}, off the curve") from None
 
     return image
 
@@ -123,15 +124,6 @@ def make_catalog_endo(label: str, curve: Curve) -> RationalEndomorphism:
             image=lambda A: _mul(curve, k, A),
         )
     raise IncompatibleCurve(f"unknown endomorphism label {label!r}")
-
-
-def shifted_endo(e: RationalEndomorphism, k: int) -> RationalEndomorphism:
-    """The endomorphism A -> e(A) + k*A (add k times the identity map)."""
-    return RationalEndomorphism(
-        e.curve, f"{e.label}+scalar({k})",
-        trace=e.trace + 2 * k, norm=e.norm + e.trace * k + k * k,
-        image=lambda A: _add(e.curve, e.image(A), _mul(e.curve, k, A)),
-    )
 
 
 def endo_eval(e: RationalEndomorphism, A: Point) -> Point:

@@ -75,7 +75,6 @@ class TorsionBasis:
         self.zeta = _weil(C, ell, P, Q, self.p_walk, self.q_walk)
         if self.zeta == 1:
             raise NotInTorsion("pairing e(P, Q) = 1: Q lies in <P>, not a basis")
-        self.ctx = ctx
         self.curve = C
         self.ell = ell
         self.P = P

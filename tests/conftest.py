@@ -1,3 +1,4 @@
+import builtins
 import random
 import signal
 import sys
@@ -13,6 +14,7 @@ from distmap import (
     Curve,
     FrobeniusData,
     PrimeField,
+    RationalEndomorphism,
     TorsionBasis,
     TorsionContext,
     count_points,
@@ -41,7 +43,9 @@ P97, A97, N97 = 1770504529, 1255580575, 1770585620
 def count_calls(monkeypatch):
     """count(owner, name) wraps owner.name, under owner and under every
     distmap module that binds the same function by that name, and returns
-    the list of the argument tuples of every call from now on."""
+    the list of the argument tuples of every call from now on.  A builtin,
+    count(builtins, "pow"), is shadowed in every distmap module instead:
+    the modules find it through their globals, and no other code sees it."""
 
     def count(owner, name):
         fn, calls = getattr(owner, name), []
@@ -51,9 +55,12 @@ def count_calls(monkeypatch):
             return fn(*args)
 
         modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "distmap"]
-        for where in (owner, *modules):
-            if getattr(where, name, None) is fn:
-                monkeypatch.setattr(where, name, counted)
+        if owner is builtins:
+            where = modules
+        else:
+            where = [w for w in (owner, *modules) if getattr(w, name, None) is fn]
+        for w in where:
+            monkeypatch.setattr(w, name, counted, raising=False)
         return calls
 
     return count
@@ -65,6 +72,20 @@ def taken(*calls):
     for c in calls:
         c.clear()
     return counts
+
+
+def context(B):
+    """A new TorsionContext of the basis B, with #E counted afresh."""
+    return TorsionContext(B.ell, B.curve, count_points(B.curve))
+
+
+def shifted_endo(e, k):
+    """The endomorphism A -> e(A) + k*A (add k times the identity map)."""
+    return RationalEndomorphism(
+        e.curve, f"{e.label}+scalar({k})",
+        trace=e.trace + 2 * k, norm=e.norm + e.trace * k + k * k,
+        image=lambda A: _add(e.curve, e.image(A), _mul(e.curve, k, A)),
+    )
 
 
 def lift(C, x):

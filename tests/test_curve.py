@@ -1,3 +1,4 @@
+import builtins
 import itertools
 import random
 import re
@@ -10,8 +11,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     A31,
+    A97,
     N31,
+    N97,
     P31,
+    P97,
     deadline,
     primes,
     random_points,
@@ -144,25 +148,19 @@ def test_mul_matches_affine_reference_up_to_2_61(n, a4, a6, seed, k):
     assert _mul(C, k, A) == _mul_affine(C, k, A)
 
 
-def test_mul_one_inversion_unless_o(monkeypatch, ex2_curve):
+def test_mul_one_inversion_unless_o(count_calls, ex2_curve):
     # k*A != O costs the one inversion back to affine, k*A = O none; at
     # 2^30 the multiples of #E meet O after 30 doublings
-    inversions = []
-
-    def counted_pow(*args):
-        inversions.append(args[1] == -1)
-        return pow(*args)
-
-    monkeypatch.setattr(curve, "pow", counted_pow, raising=False)
+    pows = count_calls(builtins, "pow")
     C31 = Curve(PrimeField(P31), A31, 0)
     cases = [(ex2_curve, A, k) for A in small_curve(ex2_curve).points
              for k in range(-11, 12)]
     cases += [(C31, A, k) for A in random_points(C31, 31, 4)
               for k in (1, 2, N31 - 1, N31, N31 + 1, -3 * N31, 1 << 40)]
     for C, A, k in cases:
-        inversions.clear()
+        pows.clear()
         R = _mul(C, k, A)
-        assert sum(inversions) == (R is not None), (C, A, k)
+        assert sum(args[1] == -1 for args in pows) == (R is not None), (C, A, k)
 
 
 @pytest.mark.parametrize("p,a4,a6", [(13, 1, 0), (17, 2, 3), (31, 5, 7)])
@@ -212,6 +210,13 @@ def test_count_matches_enumeration():
     for p, a4, a6 in [(13, 1, 0), (29, 1, 0), (37, 3, 5)]:
         C = Curve(PrimeField(p), a4, a6)
         assert count_points(C).order_n == small_curve(C).order
+
+
+def test_count_matches_cm_construction():
+    # the two CM curves of conftest near 2^30, whose #E = N(pi - 1) is
+    # known from the Frobenius pi they were built from
+    for p, a4, n in ((P31, A31, N31), (P97, A97, N97)):
+        assert count_points(Curve(PrimeField(p), a4, 0)).order_n == n
 
 
 def test_count_x3_plus_x_mod5():
@@ -596,12 +601,12 @@ def test_count_2_48_kills_points_of_e_and_twist():
 
 
 @pytest.mark.parametrize("p", [65521, 65519, 16777213, P42])
-def test_count_op_counts(monkeypatch, p):
+def test_count_op_counts(monkeypatch, count_calls, p):
     # Legendre calls come from the search for the least non-residue, once
     # per field (16 at p = 65521), and from the descents for #E mod 2, 4 and
     # 3; a square root reads residuosity from a^q and makes none (see
     # test_field.test_sqrt_op_counts); the character sum would make p of them
-    calls = {"legendre": 0, "add": 0, "inv": 0}
+    calls = {"legendre": 0, "add": 0}
     legendre, add, add_each = PrimeField.legendre, curve._add, curve._add_each
     batched = []  # nonempty inside _add_each, which counts its own _add calls
 
@@ -620,15 +625,12 @@ def test_count_op_counts(monkeypatch, p):
         batched.pop()
         return sums
 
-    def counted_pow(*args):
-        calls["inv"] += len(args) == 3 and args[1] == -1
-        return pow(*args)
-
     monkeypatch.setattr(PrimeField, "legendre", counted_legendre)
     monkeypatch.setattr(curve, "_add", counted_add)
     monkeypatch.setattr(curve, "_add_each", counted_add_each)
-    monkeypatch.setattr(curve, "pow", counted_pow, raising=False)
+    pows = count_calls(builtins, "pow")
     count_points(Curve(PrimeField(p), 3, 7))
+    inv = sum(len(args) == 3 and args[1] == -1 for args in pows)
     assert calls["legendre"] <= 64
     # every affine point addition, batched or not: _mul's Jacobian steps
     # call no _add, so add counts the BSGS progressions alone
@@ -643,7 +645,7 @@ def test_count_op_counts(monkeypatch, p):
     # curve.THREE_PART_MIN, of #E mod 6 or 12 (44 inversions and 2058
     # additions mod 2 or 4). With an inversion per double-and-add step in
     # _mul these were (61, 63), (52, 54), (72, 182) and (105, 1258)
-    assert (calls["inv"], calls["add"]) == {
+    assert (inv, calls["add"]) == {
         65521: (35, 33),
         65519: (26, 24),
         16777213: (28, 134),

@@ -1,3 +1,4 @@
+import builtins
 import re
 
 import pytest
@@ -9,6 +10,7 @@ from conftest import (
     N31,
     P31,
     combine,
+    context,
     deadline,
     dlog_reference,
     lift,
@@ -18,7 +20,7 @@ from conftest import (
     taken,
     torsion_points,
 )
-from distmap import curve, field, pairing, torsion
+from distmap import curve, pairing, torsion
 from distmap.curve import (
     Curve,
     FrobeniusData,
@@ -170,8 +172,7 @@ def test_dlog_rejects_order_ell_squared():
 def test_dlog_rejects_order_prime_to_ell31(basis31):
     C = basis31.curve
     A = scalar_mul(C, 31 * 31, lift(C, 4))
-    n = basis31.ctx.frob.order_n
-    assert A is not None and scalar_mul(C, n // (31 * 31), A) is None
+    assert A is not None and scalar_mul(C, N31 // (31 * 31), A) is None
     with pytest.raises(NotInTorsion):
         dlog2d(basis31, A)
 
@@ -179,11 +180,11 @@ def test_dlog_rejects_order_prime_to_ell31(basis31):
 @pytest.mark.parametrize("ell", [2, 3, 5, 7, 31])
 def test_dlog_op_counts(count_calls, fresh_basis, ell):
     B = fresh_basis(ell)
-    points = torsion_points(B)
+    points, ctx = torsion_points(B), context(B)
     ops = _ops(count_calls)
     # the basis walks P and Q once each, for e(P, Q), and neither it nor
     # dlog2d multiplies a point by ell: the walks are the E[ell] checks
-    B = TorsionBasis(B.ctx, B.P, B.Q)
+    B = TorsionBasis(ctx, B.P, B.Q)
     assert taken(*ops) == (2, 2, 0, 0, 0)
     for (a, b), R in points.items():
         assert dlog2d(B, R) == (a, b)
@@ -203,7 +204,7 @@ def test_dlog_op_counts(count_calls, fresh_basis, ell):
 def test_endo_matrix_op_counts(count_calls, basis31):
     # [i] at ell = 31 moves P and Q off <P> and <Q>: two walks, eight reads
     phi = make_catalog_endo("sqrt_minus_one", basis31.curve)
-    B = TorsionBasis(basis31.ctx, basis31.P, basis31.Q)
+    B = TorsionBasis(context(basis31), basis31.P, basis31.Q)
     ops = _ops(count_calls)
     M = endo_matrix(phi, B)
     assert all(x for row in M.entries for x in row)
@@ -268,28 +269,22 @@ def test_find_basis_pinned(ex2_curve, ex2_frob, basis31):
     for seed, (P, Q) in enumerate(BASES_EX2_ELL5):
         B = find_torsion_basis(ctx5, seed)
         assert (B.P, B.Q) == (P, Q), seed
+    ctx31 = context(basis31)
     for seed, (P, Q) in enumerate(BASES_ELL31):
-        B = find_torsion_basis(basis31.ctx, seed)
+        B = find_torsion_basis(ctx31, seed)
         assert (B.P, B.Q) == (P, Q), seed
 
 
-def test_find_basis_ell31_inversions(monkeypatch):
+def test_find_basis_ell31_inversions(count_calls):
     # the inversions mod p of one basis search on the ell = 31 curve: one
     # per _mul that does not meet O, and those of the pairings' Miller
     # walks (15); an inversion per double-and-add step in _mul made 89
     C = Curve(PrimeField(P31), A31, 0)
     ctx = TorsionContext(31, C, FrobeniusData(P31, N31, P31 + 1 - N31))
-    inversions = []
-
-    def counted_pow(*args):
-        inversions.append(args[1:] == (-1, P31))
-        return pow(*args)
-
-    for module in (curve, field, pairing, torsion):
-        monkeypatch.setattr(module, "pow", counted_pow, raising=False)
+    pows = count_calls(builtins, "pow")
     B = find_torsion_basis(ctx, 0)
     assert (B.P, B.Q) == ((302694661, 1375251924), (711876631, 471181071))
-    assert sum(inversions) == 17
+    assert sum(args[1:] == (-1, P31) for args in pows) == 17
 
 
 def test_torsion_draw_one_mul_per_step(count_calls):
