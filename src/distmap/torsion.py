@@ -80,8 +80,8 @@ class TorsionBasis:
         self.P = P
         self.Q = Q
         # phi -> (the equation that decides DDH on <P> with phi,
-        # {b*P: phi(b*P)} for b in 0 .. ell-1, each checked), or None when
-        # phi does not distort <P>; filled in by ddh._rule
+        # {b*P: b*phi(P)} for b in 0 .. ell-1), or None when phi does not
+        # distort <P>; filled in by ddh._rule
         self.distorts = {}
 
     @cached_property
@@ -174,5 +174,5 @@ def dlog2d(B: TorsionBasis, R: Point) -> tuple:
 def subgroup_lines(ell: int) -> list:
     """Coordinates (a, b) of the canonical generators a*P + b*Q of the
     ell + 1 order-ell subgroups: (0, 1) for <Q>, then (1, k) for
-    <P + k*Q>, k = 0 .. ell-1.  The one ordering every census uses."""
+    <P + k*Q>, k = 0 .. ell-1: the order of the CLI census listing."""
     return [(0, 1)] + [(1, k) for k in range(ell)]
