@@ -4,10 +4,11 @@ Commands: curve-info, pairing, endo-apply, endo-matrix, classify, census,
 ddh, paper-examples, catalog export.  Output is one key=value pair per
 line in a fixed order; points print as "x,y" and the identity as "O".
 Exit codes: 0 success/true, 1 negative decision or failed verification,
-2 invalid input.
+2 invalid input, 141 (128 + SIGPIPE) when the reader closed stdout.
 """
 
 import argparse
+import os
 import sys
 from functools import cache, partial
 from itertools import product
@@ -348,10 +349,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except INPUT_ERRORS as exc:
         print(f"error={exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: quiet the final flush, exit as SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

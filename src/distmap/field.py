@@ -15,7 +15,8 @@ class ZeroInverse(ArithmeticError):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3_317_044_064_679_887_385_961_981."""
+    """Deterministic Miller-Rabin to the bases 2 .. 37, exact for n below
+    psi_12 = 318_665_857_834_031_151_167_461 (Sorenson-Webster, 2017)."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -42,7 +43,7 @@ def is_prime(n: int) -> bool:
 def check_ell(ell: int, p: int | None = None) -> None:
     """Reject an ell that is not a prime <= ELL_CAP, or that is the
     characteristic p when one is given (ValueError)."""
-    if not is_prime(ell) or ell > ELL_CAP:
+    if ell > ELL_CAP or not is_prime(ell):
         raise ValueError(f"ell must be a prime <= {ELL_CAP}, got {ell}")
     if ell == p:
         raise ValueError("ell must differ from the field characteristic")
@@ -51,7 +52,7 @@ def check_ell(ell: int, p: int | None = None) -> None:
 class PrimeField:
     """The field F_p for an odd prime p < 2**62.
 
-    Immutable; safe to share between threads.
+    Immutable but for the cached z^q; safe to share between threads.
     """
 
     def __init__(self, p: int):
@@ -66,6 +67,8 @@ class PrimeField:
         # p - 1 = odd_part * 2^two_adicity, for Tonelli-Shanks
         self.two_adicity = ((p - 1) & (1 - p)).bit_length() - 1
         self.odd_part = (p - 1) >> self.two_adicity
+        # z^q, set at the first sqrt that needs it: no cached_property, as above
+        self._z_q = None
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -116,7 +119,7 @@ class PrimeField:
             if i == s:
                 return None
             if c is None:
-                c = pow(self.non_residue, q, p)
+                c = self._z_q = self._z_q or pow(self.non_residue, q, p)
             b = pow(c, 1 << (s - i - 1), p)
             s = i
             c = b * b % p

@@ -8,7 +8,6 @@ check a basis, and the walk of each point dlog2d places checks that point.
 """
 
 import random
-from functools import cached_property
 
 from .curve import (
     EXHAUSTIVE_LIMIT,
@@ -57,6 +56,7 @@ class TorsionContext:
         self.ell = ell
         self.curve = curve
         self.frob = frob
+        self._mu_logs = None  # dlog2d's table of mu_ell, set at its first call
 
     def __repr__(self):
         return f"TorsionContext(ell={self.ell}, {self.curve!r})"
@@ -71,45 +71,43 @@ class TorsionBasis:
         P, Q = C.validate(P), C.validate(Q)
         if P is None or Q is None:
             raise NotInTorsion(f"O does not have exact order {ell}")
-        self.p_walk, self.q_walk = _walk(C, ell, P), _walk(C, ell, Q)
-        self.zeta = _weil(C, ell, P, Q, self.p_walk, self.q_walk)
+        self._init(ctx, P, _walk(C, ell, P), Q, _walk(C, ell, Q))
+
+    def _init(self, ctx, P, p_walk, Q, q_walk):
+        # from valid points and the walks that check them: find_torsion_basis's path
+        self.zeta = _weil(ctx.curve, ctx.ell, P, Q, p_walk, q_walk)
         if self.zeta == 1:
             raise NotInTorsion("pairing e(P, Q) = 1: Q lies in <P>, not a basis")
-        self.curve = C
-        self.ell = ell
-        self.P = P
-        self.Q = Q
+        self._ctx, self.curve, self.ell = ctx, ctx.curve, ctx.ell
+        self.P, self.Q, self.p_walk, self.q_walk = P, Q, p_walk, q_walk
         # phi -> (the equation that decides DDH on <P> with phi,
         # {b*P: b*phi(P)} for b in 0 .. ell-1), or None when phi does not
         # distort <P>; filled in by ddh._rule
         self.distorts = {}
-
-    @cached_property
-    def zeta_logs(self) -> dict:
-        """Table {zeta^i: i for i in 0 .. ell-1}, by ell products, for dlog2d."""
-        p, power, logs = self.curve.p, 1, {}
-        for i in range(self.ell):
-            logs[power], power = i, power * self.zeta % p
-        return logs
+        return self
 
     def __repr__(self):
         return f"TorsionBasis(ell={self.ell}, P={self.P}, Q={self.Q})"
 
 
 def _order(C: Curve, ell: int, v: int, A: Point) -> tuple:
-    """(k, ell^(k-1)*A) for A of order ell^k < ell^v, v = v_ell(#E), by at
-    most v - 1 multiplications by ell.  With E[ell] rational no point has
-    order ell^v; a point that ell^v does not kill means #E is wrong."""
+    """(k, T, T's walk) for A of order ell^k < ell^v, v = v_ell(#E), T =
+    ell^(k-1)*A: a multiplication by ell per level, the walk of T at the
+    deepest, k = v - 1.  With E[ell] rational no point has order ell^v; a
+    point that ell^v does not kill means #E is wrong."""
     T = A
-    for k in range(1, v):
+    for k in range(1, v - 1):
         U = _mul(C, ell, T)
         if U is None:
-            return k, T
+            return k, T, _walk(C, ell, T)
         T = U
-    if _mul(C, ell, T) is None:
-        raise TorsionNotRational(
-            f"E[{ell}] is not rational: a point has order {ell}^{v}"
-        )
+    try:
+        return v - 1, T, _walk(C, ell, T)
+    except NotInTorsion:
+        if _mul(C, ell * ell, T) is None:
+            raise TorsionNotRational(
+                f"E[{ell}] is not rational: a point has order {ell}^{v}"
+            ) from None
     raise ValueError(f"#E is wrong for {C!r}: it does not kill a point")
 
 
@@ -123,7 +121,7 @@ def find_torsion_basis(ctx: TorsionContext, seed: int = 0) -> TorsionBasis:
     chain and is tried again; for h > k, B/s becomes A0.  So a draw is lost
     only inside <A0>, of index at least ell in the ell-part when E[ell] is
     rational, and every other loop is bounded by v = v_ell(#E).  Raises
-    as `_order` does.
+    as `_order` does, whose one walk of each point the basis keeps.
     """
     rng = random.Random(seed)
     C, ell, m = ctx.curve, ctx.ell, ctx.frob.order_n
@@ -135,12 +133,13 @@ def find_torsion_basis(ctx: TorsionContext, seed: int = 0) -> TorsionBasis:
         X = _random_point(C, rng)
         B = _mul(C, m, point_neg(C, X) if rng.randrange(2) else X)
         while B is not None:
-            h, Q = _order(C, ell, v, B)
+            h, Q, q_walk = _order(C, ell, v, B)
             if A0 is None:
-                A0, k, P = B, h, Q
+                A0, k, P, p_walk = B, h, Q, q_walk
                 break
             try:
-                return TorsionBasis(ctx, P, Q)
+                return TorsionBasis.__new__(TorsionBasis)._init(
+                    ctx, P, p_walk, Q, q_walk)
             except NotInTorsion:
                 if h == 1:
                     break  # B = Q = s*P reduces to O
@@ -157,7 +156,8 @@ def dlog2d(B: TorsionBasis, R: Point) -> tuple:
     """The unique (a, b) mod ell with R = a*P + b*Q, by the MOV reduction
     (Menezes-Okamoto-Vanstone, IEEE Trans. IT 39, 1993): e(R, Q) = zeta^a
     and e(P, R) = zeta^b.  R's walk, its E[ell] check, is read at P and Q,
-    and the basis's walks at R: at most four reads, no point addition."""
+    and the basis's walks at R: at most four reads, no point addition; the
+    logs are read in the context's table of mu_ell, then turned to base zeta."""
     C, ell = B.curve, B.ell
     R = C.validate(R)
     if R is None:
@@ -166,9 +166,19 @@ def dlog2d(B: TorsionBasis, R: Point) -> tuple:
         walk = _walk(C, ell, R)
     except NotInTorsion as exc:
         raise NotInTorsion(f"{R} is not killed by {ell}") from exc
-    logs = B.zeta_logs
-    return (logs[_weil(C, ell, R, B.Q, walk, B.q_walk)],
-            logs[_weil(C, ell, B.P, R, B.p_walk, walk)])
+    logs = B._ctx._mu_logs or _mu_logs(B._ctx)
+    u = pow(logs[B.zeta], -1, ell)
+    return (logs[_weil(C, ell, R, B.Q, walk, B.q_walk)] * u % ell,
+            logs[_weil(C, ell, B.P, R, B.p_walk, walk)] * u % ell)
+
+
+def _mu_logs(ctx: TorsionContext) -> dict:
+    """Sets and returns the context's table {omega^i: i for i < ell}, omega =
+    g^((p-1)/ell) != 1 for the least g >= 2, a fixed generator of mu_ell."""
+    p, ell = ctx.curve.p, ctx.ell
+    omega = next(w for g in range(2, p) if (w := pow(g, (p - 1) // ell, p)) != 1)
+    ctx._mu_logs = {pow(omega, i, p): i for i in range(ell)}
+    return ctx._mu_logs
 
 
 def subgroup_lines(ell: int) -> list:

@@ -1,7 +1,11 @@
 import argparse
 import io
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -342,6 +346,29 @@ def test_counting_exhausted_exit_2(capsys, monkeypatch):
     assert captured.err == (
         "error=point counting: 128 points left 16 candidates for #E\n"
     )
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_exits_141_quietly(unbuffered):
+    # stdout's reader is gone before the first write, as in `distmap census
+    # ... | true`: the write fails (at the print, or at the final flush when
+    # stdout is buffered), and the CLI exits 128 + SIGPIPE with nothing on
+    # stderr
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "distmap.cli", "census", "--p", "1770504529",
+             "--a4", "1255580575", "--a6", "0", "--ell", "97",
+             "--phi", "sqrt_minus_one"],
+            stdout=w, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_catalog_export_command(capsys):

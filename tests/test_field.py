@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from distmap.field import PrimeField, ZeroInverse, is_prime
+from distmap import field
+from distmap.field import ELL_CAP, PrimeField, ZeroInverse, check_ell, is_prime
 
 # sqrt is checked for every a at each 2-adic shape of p - 1: v2(p - 1) = 1
 # (7, 103, 1019), 2 (13, 101, 997), 4 (17), 8 (257), 9 (7681) and 12 (12289)
@@ -20,6 +21,27 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(50):
         assert is_prime(n) == (n in primes)
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # psi_1 .. psi_11, the least strong pseudoprimes to the first 1 .. 11
+    # prime bases (psi_7 = psi_8, psi_9 = psi_10 = psi_11): each passes
+    # Fermat's test to base 2, and the bases 2 .. 37 reject every one
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051):
+        assert pow(2, n - 1, n) == 1 and not is_prime(n), n
+
+
+def test_check_ell_caps_before_primality(count_calls):
+    # an ell above the cap is refused before any primality test, so an
+    # arbitrarily large --ell costs nothing
+    calls = count_calls(field, "is_prime")
+    for ell in (ELL_CAP + 2, 10**30 + 57, 2**4423 - 1):
+        with pytest.raises(ValueError, match="ell must be a prime"):
+            check_ell(ell)
+    assert calls == []
+    check_ell(ELL_CAP)
+    assert calls == [(ELL_CAP,)]
 
 
 def test_inv_identity():
@@ -100,6 +122,7 @@ def test_sqrt_op_counts(count_calls, p):
     legendre = count_calls(PrimeField, "legendre")
     pows = count_calls(builtins, "pow")
     rng = random.Random(p)
+    deep = []  # (a, pow calls) of each residue with a^q != 1
     for a in [1, p - 1, F.non_residue] + [rng.randrange(1, p) for _ in range(200)]:
         pows.clear()
         r = F.sqrt(a)
@@ -107,4 +130,18 @@ def test_sqrt_op_counts(count_calls, p):
             assert len(pows) == 1, a
         else:
             assert r * r % p == a
+            deep.append((a, list(pows)))
     assert legendre == []
+    # some residues are deep when p = 1 mod 4, none when p = 3 mod 4; the
+    # full-size powers are a^((q-1)/2) and z^q, z the least non-residue;
+    # z^q is powered once per field, at the first deep residue: the second
+    # costs one full-size power fewer, and so does the first taken again
+    assert (len(deep) > 1) == (p % 4 == 1)
+    if deep:
+        full = [sum(args in {(a, (q - 1) // 2, p), (F.non_residue, q, p)}
+                    for args in calls) for a, calls in deep]
+        assert full == [2] + [1] * (len(deep) - 1)
+        a, first = deep[0]
+        pows.clear()
+        assert F.sqrt(a) ** 2 % p == a
+        assert len(pows) == len(first) - 1

@@ -1,4 +1,5 @@
 import builtins
+import random
 import re
 
 import pytest
@@ -290,18 +291,59 @@ def test_find_basis_ell31_inversions(count_calls):
 def test_torsion_draw_one_mul_per_step(count_calls):
     # y^2 = x^3 + x over F_17 has E(F_17) = Z/4 x Z/4, so v_2(#E) = 4: a
     # point of order 2^k takes k - 1 steps down (one multiplication by 2
-    # each), then one more multiplication by 2 meets O
+    # each), then one more multiplication by 2 meets O: every k is below
+    # the deepest level v - 1 = 3, the one level _order walks instead; it
+    # returns T's walk either way
     C = Curve(PrimeField(17), 1, 0)
     calls = count_calls(torsion, "_mul")
     orders = []
     for A in small_curve(C).points[1:]:
         calls.clear()
-        k, T = torsion._order(C, 2, 4, A)
+        k, T, walk = torsion._order(C, 2, 4, A)
         assert [n for _, n, _ in calls] == [2] * k
         assert T is not None and scalar_mul(C, 2, T) is None
         assert scalar_mul(C, 2 ** (k - 1), A) == T
+        assert walk == pairing._walk(C, 2, T)
         orders.append(k)
     assert sorted(set(orders)) == [1, 2]
+
+
+def test_find_basis_walks_each_point_once(count_calls, ctx97):
+    # ell = 31, v = 2: each draw's one level is checked by walking the
+    # drawn point, not by multiplying it by ell, and the basis keeps both
+    # walks: the two _mul calls are the draws m*X (4 when ell*T = O was
+    # multiplied out), the two walks those of P and Q
+    C = Curve(PrimeField(P31), A31, 0)
+    ctx = TorsionContext(31, C, FrobeniusData(P31, N31, P31 + 1 - N31))
+    muls, walks = count_calls(curve, "_mul"), count_calls(pairing, "_walk")
+    B = find_torsion_basis(ctx, 0)
+    assert (B.P, B.Q) == BASES_ELL31[0]
+    assert taken(muls, walks) == (2, 2)
+    assert (B.p_walk, B.q_walk) == (pairing._walk(C, 31, B.P),
+                                     pairing._walk(C, 31, B.Q))
+    # ell = 97, v = 4: only the deepest level is walked; a search that
+    # multiplied every level by ell and walked in the basis made 13 and 6
+    taken(muls, walks)
+    B = find_torsion_basis(ctx97, 0)
+    assert (B.P, B.Q) == BASES_ELL97[0]
+    assert taken(muls, walks) == (11, 4)
+
+
+def test_dlog_one_mu_table_per_context(count_calls, basis31):
+    # two bases of one context, with different zeta, read their logs from
+    # one table of mu_ell, built at the context's first dlog2d
+    ctx = context(basis31)
+    tables = count_calls(torsion, "_mu_logs")
+    bases = [find_torsion_basis(ctx, seed) for seed in (0, 1)]
+    assert bases[0].zeta != bases[1].zeta and tables == []
+    rng = random.Random(31)
+    for B in bases + bases:
+        for _ in range(4):
+            R = combine(B, rng.randrange(31), rng.randrange(31))
+            assert dlog2d(B, R) == dlog_reference(B, R)
+        R = combine(bases[0], 3, 5)
+        assert dlog2d(B, R) == dlog_reference(B, R)
+    assert len(tables) == 1
 
 
 BASES_ELL97 = [
