@@ -43,12 +43,7 @@ from .endo import (
 )
 from .field import PrimeField, check_ell
 from .pairing import weil_pairing
-from .torsion import (
-    TorsionBasis,
-    TorsionContext,
-    find_torsion_basis,
-    subgroup_lines,
-)
+from .torsion import TorsionBasis, TorsionContext, find_torsion_basis
 
 INPUT_ERRORS = (ValueError, CountingExhausted)
 
@@ -169,10 +164,11 @@ def cmd_census(args) -> int:
     B, phi = _resolve_basis(args)
     report = distortion_census(endo_matrix(phi, B))
     eigen = set(report.eigen_subgroups)
-    # Q, then P + k*Q for k = 0 .. ell-1: the order of subgroup_lines
+    # <Q>, then <P + k*Q> for k = 0 .. ell-1, each beside its coordinates
+    lines = [(0, 1), *((1, k) for k in range(B.ell))]
     gens = [B.Q, *_progression(B.curve, B.P, B.Q, B.ell)]
     _emit(P=point_str(B.P), Q=point_str(B.Q))
-    for v, G in zip(subgroup_lines(B.ell), gens):
+    for v, G in zip(lines, gens):
         mark = "eigen" if v in eigen else "distorted"
         _emit(subgroup=f"{point_str(G)}:{mark}")
     _emit(distorted=report.census_distorted, case=report.case_tag)
@@ -345,11 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        code = args.func(args)
+        try:
+            args = ap.parse_args(argv)
+        except SystemExit as exc:  # --help, or argparse's usage message
+            code = 2 if exc.code not in (0, None) else 0
+        else:
+            code = args.func(args)
         sys.stdout.flush()
         return code
     except INPUT_ERRORS as exc:

@@ -52,6 +52,8 @@ class Curve:
             raise ValueError(
                 f"singular curve: 4*a4^3 + 27*a6^2 = 0 mod {field.p}"
             )
+        # #E by the character sum, set at _count_exhaustive's first run
+        self._summed_order = None
 
     def __eq__(self, other):
         return (
@@ -234,12 +236,14 @@ def scalar_mul(C: Curve, k: int, A: Point) -> Point:
 
 
 def _count_exhaustive(C: Curve) -> int:
-    # #E = p + 1 + sum_x chi(x^3 + a4 x + a6)
-    p = C.p
-    n = p + 1
-    for x in range(p):
-        n += C.field.legendre(C.rhs(x))
-    return n
+    # #E = p + 1 + sum_x chi(x^3 + a4 x + a6), summed once per curve
+    if C._summed_order is None:
+        p = C.p
+        n = p + 1
+        for x in range(p):
+            n += C.field.legendre(C.rhs(x))
+        C._summed_order = n
+    return C._summed_order
 
 
 def _random_point(C: Curve, rng: random.Random) -> Point:

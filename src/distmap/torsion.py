@@ -1,4 +1,4 @@
-"""ell-torsion bases, discrete logs in E[ell], and order-ell subgroups.
+"""ell-torsion bases and discrete logs in E[ell].
 
 Requires the fully rational case E[ell] <= E(F_p), which forces
 t = 2 mod ell and q = 1 mod ell.
@@ -180,9 +180,3 @@ def _mu_logs(ctx: TorsionContext) -> dict:
     ctx._mu_logs = {pow(omega, i, p): i for i in range(ell)}
     return ctx._mu_logs
 
-
-def subgroup_lines(ell: int) -> list:
-    """Coordinates (a, b) of the canonical generators a*P + b*Q of the
-    ell + 1 order-ell subgroups: (0, 1) for <Q>, then (1, k) for
-    <P + k*Q>, k = 0 .. ell-1: the order of the CLI census listing."""
-    return [(0, 1)] + [(1, k) for k in range(ell)]

@@ -31,7 +31,6 @@ from distmap.endo import (
     quadratic_roots_mod,
 )
 from distmap.field import PrimeField, is_prime
-from distmap.torsion import subgroup_lines
 
 
 def matrix(ell, a, b, c, d):
@@ -253,13 +252,19 @@ def test_census_trichotomy_all_nonscalar_matrices(ell):
             assert len(roots) == 1
 
 
+def _lines(ell):
+    """Coordinates of the ell + 1 order-ell subgroups in the census
+    listing's order: <Q>, then <P + k*Q> for k = 0 .. ell-1."""
+    return [(0, 1)] + [(1, k) for k in range(ell)]
+
+
 def _census_by_scan(M):
     """The census by scanning all ell + 1 lines for eigenvectors and all
     of Z/ell for roots: the reference for the closed form."""
     ell = M.ell
     (a, b), (c, d) = M.entries
     # (x, y) is an eigenline iff it is parallel to M(x, y)
-    eigen = [(x, y) for x, y in subgroup_lines(ell)
+    eigen = [(x, y) for x, y in _lines(ell)
              if (x * (c * x + d * y) - y * (a * x + b * y)) % ell == 0]
     roots = [r for r in range(ell)
              if (r * r - M.trace() * r + M.det()) % ell == 0]
@@ -294,7 +299,7 @@ def test_census_listing_ell97(capsys, basis97):
     want = [f"P={point_str(B.P)}", f"Q={point_str(B.Q)}"]
     want += [f"subgroup={point_str(combine(B, x, y))}:"
              + ("eigen" if (x, y) in eigen else "distorted")
-             for x, y in subgroup_lines(97)]
+             for x, y in _lines(97)]
     want += [f"distorted={distorted}", f"case={tag}"]
     code = main(["census", "--p", str(P97), "--a4", str(A97), "--a6", "0",
                  "--ell", "97", "--phi", "sqrt_minus_one"])

@@ -22,6 +22,7 @@ from conftest import (
     torsion_points,
 )
 from distmap import curve, pairing, torsion
+from distmap.cli import main, parse_point
 from distmap.curve import (
     Curve,
     FrobeniusData,
@@ -38,7 +39,6 @@ from distmap.torsion import (
     TorsionNotRational,
     dlog2d,
     find_torsion_basis,
-    subgroup_lines,
 )
 
 
@@ -425,25 +425,16 @@ def test_find_basis_exhaustive_small_p():
     assert outcomes == {True: 1543, False: 2734}
 
 
-def test_subgroup_lines_ell2(basis2):
-    gens = [combine(basis2, a, b) for a, b in subgroup_lines(2)]
-    assert len(gens) == 3
-    assert gens[0] == basis2.Q
-
-
-def test_subgroup_lines_ell5(basis5):
-    gens = [combine(basis5, a, b) for a, b in subgroup_lines(5)]
-    assert len(set(gens)) == 6
-    assert all(g is not None and scalar_mul(basis5.curve, 5, g) is None
-               for g in gens)
-
-
 @pytest.mark.parametrize("ell", [2, 5])
-def test_subgroups_partition_nonzero_points(ex2_curve, ex2_frob, ell):
-    ctx = TorsionContext(ell, ex2_curve, ex2_frob)
-    B = find_torsion_basis(ctx)
+def test_subgroups_partition_nonzero_points(capsys, ex2_curve, ell):
+    # the ell + 1 generators of the census listing
+    main(["census", "--name", "ex2-f701", "--ell", str(ell), "--phi", "alpha_701"])
+    out = capsys.readouterr().out
+    gens = [parse_point(g) for g in re.findall(r"^subgroup=(.*):", out, re.M)]
+    assert len(gens) == ell + 1
     seen = {}
-    for g in (combine(B, a, b) for a, b in subgroup_lines(ell)):
+    for g in gens:
+        assert g is not None and scalar_mul(ex2_curve, ell, g) is None
         for k in range(1, ell):
             A = scalar_mul(ex2_curve, k, g)
             assert A not in seen
