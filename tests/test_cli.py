@@ -125,9 +125,10 @@ C97 = f"--p {P97} --a4 {A97} --a6 0 --ell 97"
 P42 = 4398046511093  # the largest prime below 2^42
 
 # (argv, exit code, stdout, or "sha256:" and its hex digest, and the one
-# stderr line or None); every row runs in process through main
+# stderr line or None); every row runs in process through main.  The inputs
+# rejected with one error= line the tests below check, by the same rule
 CLI_ROWS = [
-    # the README's commands and its error= examples, in its order
+    # the README's commands and its first error= example, in its order
     info(*EX2_INFO, argv="curve-info --name ex2-f701"),
     info(*EX2_INFO),
     ("pairing --name ex2-f701 --ell 5 --A 224,31 --B 173,194", 0, "e=464\n", None),
@@ -150,12 +151,6 @@ CLI_ROWS = [
     # only root of x^3 + 2x + 1: a draw of order 4 shows E[2] is not rational
     error("census --p 101 --a4 2 --a6 1 --ell 2 --phi 'scalar(1)'",
           "E[2] is not rational: a point has order 2^2"),
-    error("curve-info --name nonexistent",
-          "unknown catalog entry 'nonexistent'; have ['ex1-f13', 'ex1-f17', "
-          "'ex1-f29', 'ex1-f5', 'ex2-f701', 'ex4-13', 'ex4-rational']"),
-    error(f"ddh {EX2} --triple 1,2", "triple must be 'a,b,c', got '1,2'"),
-    error("pairing --name ex2-f701 --ell 5 --A 1,x --B 224,31",
-          "point must be 'x,y' or 'O', got '1,x'"),
     # --name beside the catalog's own prime or a conductor is allowed
     info(*EX2_INFO, argv="curve-info --name ex2-f701 --p 701"),
     info(*EX2_INFO, argv="curve-info --name ex2-f701 --conductor 1"),
@@ -243,44 +238,11 @@ CLI_ROWS = [
     usage("curve-info --name ex2-f701 --seed 1"),
     error("curve-info --p 11 --name ex4-rational", "denominator divisible by 11"),
     error("curve-info --p 701", "need --name or all of --p/--a4/--a6"),
-    *(error(f"classify --name ex2-f701 --ell {ell}",
-            f"ell must be a prime <= 997, got {ell}") for ell in (0, 1, 4)),
-    error("pairing --name ex2-f701 --ell 0 --A 224,31 --B 173,194",
-          "ell must be a prime <= 997, got 0"),
-    *(error(f"{command} --name ex2-f701 --ell 5 {flag}",
-            "give both --A and --B, or neither")
-      for command in ("endo-matrix --phi alpha_701", "census --phi alpha_701",
-                      "ddh --phi alpha_701 --triple 1,2,2")
-      for flag in ("--A 224,31", "--B 573,450")),
-    # the catalog entry fixes the coefficients: --a4/--a6 beside --name
-    # would otherwise be ignored without a word
-    *(error(f"curve-info --name ex2-f701 {flags}", "give --name or --a4/--a6, not both")
-      for flags in ("--a4 1 --a6 2", "--a4 1", "--b 2", "--p 701 --a4 -35 --a6 98")),
-    error(f"endo-matrix {EX2} --A O --B 573,450", "O does not have exact order 5"),
-    error(f"endo-matrix {EX2} --A 319,0 --B 573,450",
-          "(319, 0) does not have exact order 5"),
-    error("curve-info --name ex2-f701 --p 13",
-          "ex2-f701 has no rational model to re-reduce"),
-    error("pairing --name ex2-f701 --ell 5 --A 1,2,3 --B 224,31",
-          "point must be 'x,y' or 'O', got '1,2,3'"),
-    error(f"endo-matrix {EX2} --A 224,31 --B 1,x", "point must be 'x,y' or 'O', got '1,x'"),
-    error(f"ddh {EX2} --triple a,b,c", "triple must be 'a,b,c', got 'a,b,c'"),
-    # ell = p, which census rejects at its TorsionContext
-    error("classify --p 7 --a4 1 --a6 1 --ell 7",
-          "ell must differ from the field characteristic"),
-    error("classify --name ex2-f701 --ell 701",
-          "ell must differ from the field characteristic"),
-    # y^2 = x^3 + x + 5 over F_11 is anomalous (#E = 11): ell = p, where the
-    # Weil pairing is not defined
-    error("pairing --p 11 --a4 1 --a6 5 --ell 11 --A 0,4 --B 2,2",
-          "ell must differ from the field characteristic"),
 ]
 
 
-@pytest.mark.parametrize("argv, code, stdout, err", CLI_ROWS,
-                         ids=[row[0] for row in CLI_ROWS])
-def test_cli_row(capsys, argv, code, stdout, err):
-    got = main(shlex.split(argv))
+def check_row(capsys, argv, code, stdout, err):
+    got = main(argv)
     out, got_err = capsys.readouterr()
     if stdout.startswith("sha256:"):
         out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
@@ -290,6 +252,96 @@ def test_cli_row(capsys, argv, code, stdout, err):
     assert code != 2 or (out == "" and got_err)
     if code != 2 or err:
         assert got_err == (f"{err}\n" if err else "")
+
+
+@pytest.mark.parametrize("argv, code, stdout, err", CLI_ROWS,
+                         ids=[row[0] for row in CLI_ROWS])
+def test_cli_row(capsys, argv, code, stdout, err):
+    check_row(capsys, shlex.split(argv), code, stdout, err)
+
+
+def _one_error_line(capsys, argv, message):
+    check_row(capsys, argv, 2, "", f"error={message}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--name", "ex2-f701", "--ell", "0"],
+    ["classify", "--name", "ex2-f701", "--ell", "1"],
+    ["classify", "--name", "ex2-f701", "--ell", "4"],
+    ["pairing", "--name", "ex2-f701", "--ell", "0",
+     "--A", "224,31", "--B", "173,194"],
+])
+def test_ell_not_prime_exit_2(capsys, argv):
+    ell = argv[argv.index("--ell") + 1]
+    _one_error_line(capsys, argv, f"ell must be a prime <= 997, got {ell}")
+
+
+@pytest.mark.parametrize("command", [
+    ["endo-matrix", "--phi", "alpha_701"],
+    ["census", "--phi", "alpha_701"],
+    ["ddh", "--phi", "alpha_701", "--triple", "1,2,2"],
+])
+@pytest.mark.parametrize("flag", [["--A", "224,31"], ["--B", "573,450"]])
+def test_lone_basis_flag_exit_2(capsys, command, flag):
+    argv = command + ["--name", "ex2-f701", "--ell", "5"] + flag
+    _one_error_line(capsys, argv, "give both --A and --B, or neither")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--a4", "1", "--a6", "2"], ["--a4", "1"], ["--b", "2"],
+    ["--p", "701", "--a4", "-35", "--a6", "98"],
+])
+def test_name_with_coefficients_exit_2(capsys, flags):
+    # the catalog entry fixes the coefficients: --a4/--a6 beside --name
+    # would otherwise be ignored without a word
+    argv = ["curve-info", "--name", "ex2-f701"] + flags
+    _one_error_line(capsys, argv, "give --name or --a4/--a6, not both")
+
+
+REJECTED = [
+    (["endo-matrix", "--name", "ex2-f701", "--ell", "5", "--phi", "alpha_701",
+      "--A", "O", "--B", "573,450"],
+     "O does not have exact order 5"),
+    (["endo-matrix", "--name", "ex2-f701", "--ell", "5", "--phi", "alpha_701",
+      "--A", "319,0", "--B", "573,450"],
+     "(319, 0) does not have exact order 5"),
+    (["curve-info", "--name", "ex2-f701", "--p", "13"],
+     "ex2-f701 has no rational model to re-reduce"),
+    (["pairing", "--name", "ex2-f701", "--ell", "5", "--A", "1,2,3",
+      "--B", "224,31"],
+     "point must be 'x,y' or 'O', got '1,2,3'"),
+    # the README's other three error= examples, here and two rows down
+    (["pairing", "--name", "ex2-f701", "--ell", "5", "--A", "1,x",
+      "--B", "224,31"],
+     "point must be 'x,y' or 'O', got '1,x'"),
+    (["endo-matrix", "--name", "ex2-f701", "--ell", "5", "--phi", "alpha_701",
+      "--A", "224,31", "--B", "1,x"],
+     "point must be 'x,y' or 'O', got '1,x'"),
+    (["ddh", "--name", "ex2-f701", "--ell", "5", "--phi", "alpha_701",
+      "--triple", "1,2"],
+     "triple must be 'a,b,c', got '1,2'"),
+    (["ddh", "--name", "ex2-f701", "--ell", "5", "--phi", "alpha_701",
+      "--triple", "a,b,c"],
+     "triple must be 'a,b,c', got 'a,b,c'"),
+    (["curve-info", "--name", "nonexistent"],
+     "unknown catalog entry 'nonexistent'; have ['ex1-f13', 'ex1-f17', "
+     "'ex1-f29', 'ex1-f5', 'ex2-f701', 'ex4-13', 'ex4-rational']"),
+    # ell = p, which census rejects at its TorsionContext
+    (["classify", "--p", "7", "--a4", "1", "--a6", "1", "--ell", "7"],
+     "ell must differ from the field characteristic"),
+    (["classify", "--name", "ex2-f701", "--ell", "701"],
+     "ell must differ from the field characteristic"),
+    # y^2 = x^3 + x + 5 over F_11 is anomalous (#E = 11): ell = p, where
+    # the Weil pairing is not defined
+    (["pairing", "--p", "11", "--a4", "1", "--a6", "5", "--ell", "11",
+      "--A", "0,4", "--B", "2,2"],
+     "ell must differ from the field characteristic"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REJECTED)
+def test_rejected_input_exit_2(capsys, argv, message):
+    _one_error_line(capsys, argv, message)
 
 
 def test_exit_codes_across_process_boundary():
@@ -312,11 +364,12 @@ def test_readme_cli_lines_are_rows():
     errors = re.findall(r"^(error=.*?)\s+#", readme, re.M)
     assert (len(commands), len(errors)) == (10, 4)
     argvs = [shlex.split(row[0]) for row in CLI_ROWS]
+    lines = [row[3] or "" for row in CLI_ROWS] + [f"error={m}" for _, m in REJECTED]
     for command in commands:
         assert shlex.split(command) in argvs, command
     for line in errors:
         pattern = re.escape(line).replace(re.escape("[...]"), r"\[.*\]")
-        assert any(re.fullmatch(pattern, row[3] or "") for row in CLI_ROWS), line
+        assert any(re.fullmatch(pattern, got) for got in lines), line
 
 
 def test_one_character_sum_per_curve(count_calls):
