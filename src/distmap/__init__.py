@@ -33,7 +33,6 @@ from .classify import (
     ClassificationReport,
     OrderData,
     classify_case,
-    decompose_discriminant,
     distortion_census,
     verify_theorem1,
 )

@@ -25,7 +25,7 @@ class CurveCatalogEntry:
         else:
             self.curve = Curve(PrimeField(p), a4, a6)
         self.frob = count_points(self.curve)
-        self.order = OrderData.from_frobenius(self.frob.trace_t, p, conductor)
+        self.order = OrderData(self.frob.trace_t, p, conductor)
         self.endo_labels = tuple(endo_labels)
         self.default_ell = default_ell
         self.notes = notes

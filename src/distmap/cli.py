@@ -41,7 +41,7 @@ from .endo import (
     make_catalog_endo,
     quadratic_roots_mod,
 )
-from .field import PrimeField, check_ell
+from .field import PrimeField
 from .pairing import weil_pairing
 from .torsion import TorsionBasis, TorsionContext, find_torsion_basis
 
@@ -53,7 +53,7 @@ def point_str(A) -> str:
 
 
 def parse_point(text: str):
-    if text.strip() in ("O", "0_E", "inf"):
+    if text.strip() == "O":
         return None
     try:
         x, y = map(int, text.split(","))
@@ -85,7 +85,7 @@ def _order_data(args) -> tuple:
     overrides its conductor."""
     curve, frob, c = _resolve_curve(args)
     c = c if args.conductor is None else args.conductor
-    return curve, frob, OrderData.from_frobenius(frob.trace_t, frob.q, c)
+    return curve, frob, OrderData(frob.trace_t, frob.q, c)
 
 
 def _resolve_basis(args) -> tuple:
@@ -150,8 +150,7 @@ def cmd_endo_matrix(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    _, frob, od = _order_data(args)
-    check_ell(args.ell, frob.q)
+    _, _, od = _order_data(args)
     report = classify_case(od, args.ell)
     _emit(ell=args.ell, case=report.case_tag,
           predicted_distorted=report.predicted_count())

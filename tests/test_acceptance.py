@@ -23,7 +23,6 @@ from distmap import (
     TorsionContext,
     classify_case,
     count_points,
-    decompose_discriminant,
     ddh_decide,
     distortion_census,
     endo_eval,
@@ -86,7 +85,7 @@ def test_criterion_4_split_case(ex2):
     al, B2 = ex2["alpha"], ex2["B2"]
     M = endo_matrix(al, B2)
     census = distortion_census(M)
-    cls = classify_case(OrderData(-7, 20, 1), 2)
+    cls = classify_case(OrderData(2, 701, 1), 2)
     ok = (
         endo_eval(al, (319, 0)) is None
         and endo_eval(al, (389, 0)) == (389, 0)
@@ -109,7 +108,7 @@ def test_criterion_5_ramified_family(p):
     )
     B = find_torsion_basis(TorsionContext(2, C, frob), seed=0)
     census = distortion_census(endo_matrix(e, B))
-    od = OrderData(*decompose_discriminant(frob.trace_t, p), 1)
+    od = OrderData(frob.trace_t, p, 1)
     cls = classify_case(od, 2)
     ok = (
         fixes and swaps
@@ -123,7 +122,7 @@ def test_criterion_5_ramified_family(p):
 def test_criterion_6_no_distortion():
     C13 = reduce_rational_curve(-3375, 121, 6750, 121, 13)
     roots = sorted(x for x in range(13) if C13.rhs(x) == 0)
-    cls = classify_case(OrderData(-3, 4, 2), 2)
+    cls = classify_case(OrderData(2, 13, 2), 2)
     try:
         reduce_rational_curve(-3375, 121, 6750, 121, 11)
         bad11 = False
@@ -214,9 +213,9 @@ def test_criterion_9_theorem1_cross_check(ex2):
     M_nod = endo_matrix(make_catalog_endo("scalar(1)", C13), B_nod)
 
     ok = (
-        verify_theorem1(OrderData(-7, 20, 1), M_inert, 5).census_distorted == 6
-        and verify_theorem1(OrderData(-7, 20, 1), M_split, 2).census_distorted == 1
-        and verify_theorem1(OrderData(-4, 2, 1), M_ram, 2).census_distorted == 2
-        and verify_theorem1(OrderData(-3, 4, 2), M_nod, 2).census_distorted == 0
+        verify_theorem1(OrderData(2, 701, 1), M_inert, 5).census_distorted == 6
+        and verify_theorem1(OrderData(2, 701, 1), M_split, 2).census_distorted == 1
+        and verify_theorem1(OrderData(2, 5, 1), M_ram, 2).census_distorted == 2
+        and verify_theorem1(OrderData(2, 13, 2), M_nod, 2).census_distorted == 0
     )
     report("9: Theorem 1 census counts 6 / 1 / 2 / 0 across the four cases", ok)

@@ -5,6 +5,7 @@ from math import isqrt
 import pytest
 
 from conftest import A97, P97, combine
+from distmap import classify
 from distmap.classify import (
     INERT,
     NO_DISTORTION,
@@ -15,10 +16,10 @@ from distmap.classify import (
     NotImaginary,
     OrderData,
     PredicateViolated,
+    _fundamental,
     _splitting,
     _squarefree_decompose,
     classify_case,
-    decompose_discriminant,
     distortion_census,
     verify_theorem1,
 )
@@ -43,32 +44,48 @@ def _scalar(M):
     return b == c == 0 and a == d
 
 
+def _decompose(t, q):
+    """(d_K, f_pi) of the order data of the trace t over F_q."""
+    od = OrderData(t, q, 1)
+    return od.d_K, od.f_pi
+
+
 def test_decompose_f701():
-    assert decompose_discriminant(2, 701) == (-7, 20)
+    assert _decompose(2, 701) == (-7, 20)
     assert 20 * 20 * -7 == 4 - 4 * 701
 
 
 def test_decompose_minus_four_family():
-    assert decompose_discriminant(2, 5) == (-4, 2)  # -16 = 2^2 * (-4)
-    assert decompose_discriminant(-6, 13) == (-4, 2)
-    assert decompose_discriminant(2, 13) == (-3, 4)  # -48 = 4^2 * (-3)
+    assert _decompose(2, 5) == (-4, 2)  # -16 = 2^2 * (-4)
+    assert _decompose(-6, 13) == (-4, 2)
+    assert _decompose(2, 13) == (-3, 4)  # -48 = 4^2 * (-3)
 
 
 def test_decompose_rejects_nonimaginary():
     with pytest.raises(NotImaginary):
-        decompose_discriminant(6, 7)
+        OrderData(6, 7, 1)
 
 
 def test_decompose_fundamental_exhaustive():
-    # fundamental part is squarefree (odd case) or 4*squarefree with the
-    # quotient = 2,3 mod 4
-    for t in range(-20, 21):
-        for q in (101, 701, 997):
-            if t * t >= 4 * q:
-                continue
-            d_K, f = decompose_discriminant(t, q)
-            assert f * f * d_K == t * t - 4 * q
-            OrderData(d_K, f, 1)  # validates fundamentality
+    # every t with t^2 < 4q: t^2 - 4q = f^2 * d_K, and d_K is fundamental
+    # by the brute-force definition, not by _fundamental again
+    for q in (101, 701, 997):
+        fundamental = set(_fundamental_discriminants(-4 * q, -1))
+        for t in range(-isqrt(4 * q - 1), isqrt(4 * q - 1) + 1):
+            d_K, f = _decompose(t, q)
+            assert f * f * d_K == t * t - 4 * q, (t, q)
+            assert d_K in fundamental, (t, q)
+
+
+def test_one_squarefree_decomposition_per_order(count_calls, capsys):
+    # 4q - t^2 = 17965168682620459 is prime: the order data decomposes it
+    # once, and curve-info builds that order data once
+    calls = count_calls(classify, "_squarefree_decompose")
+    OrderData(-7016397, 4503599627370517, 1)
+    assert calls == [(17965168682620459,)]
+    calls.clear()
+    assert main(["curve-info", "--p", "4503599627370517", "--a4", "9", "--a6", "1"]) == 0
+    assert calls == [(17965168682620459,)]
 
 
 def _squarefree_reference(n):
@@ -100,17 +117,14 @@ def test_squarefree_decompose_large_cofactors():
 
 
 def test_order_data_validation():
-    with pytest.raises(InconsistentInput):
-        OrderData(-12, 1, 1)  # not fundamental
-    with pytest.raises(InconsistentInput):
-        OrderData(-7, 20, 3)  # 3 does not divide 20
-    with pytest.raises(InconsistentInput):
-        OrderData(7, 1, 1)
-    for f_pi in (0, -4):
-        with pytest.raises(InconsistentInput, match="f_pi must be positive"):
-            OrderData(-7, f_pi, 1)
-    od = OrderData(-7, 20, 2)
-    assert od.index_O_Zpi == 10
+    with pytest.raises(InconsistentInput, match="c = 3 must divide f_pi = 20"):
+        OrderData(2, 701, 3)
+    with pytest.raises(InconsistentInput, match="c = 0 must divide"):
+        OrderData(2, 701, 0)
+    with pytest.raises(NotImaginary):
+        OrderData(4, 4, 1)  # t^2 - 4q = 0
+    od = OrderData(2, 701, 2)
+    assert (od.d_K, od.f_pi, od.c, od.q, od.index_O_Zpi) == (-7, 20, 2, 701, 10)
 
 
 def _is_squarefree(n):
@@ -125,17 +139,14 @@ def _fundamental_discriminants(lo, hi):
             or (d % 4 == 0 and d // 4 % 4 in (2, 3) and _is_squarefree(-d // 4))]
 
 
-def test_order_data_accepts_exactly_fundamental_discriminants():
-    # every d_K = 2, 3 mod 4, and every non-fundamental d_K = 0, 1 mod 4
-    # (-12, -16, -27, -28, ...), is rejected
+def test_fundamental_fixes_exactly_fundamental_discriminants():
+    # _fundamental(n) == (n, 1) iff n is fundamental: every n = 2, 3 mod 4,
+    # and every non-fundamental n = 0, 1 mod 4 (-12, -16, -27, -28, ...),
+    # decomposes further
     fundamental = set(_fundamental_discriminants(-400, -1))
     assert {-3, -4, -7, -8, -24} <= fundamental
-    for d_K in range(-400, 0):
-        if d_K in fundamental:
-            assert OrderData(d_K, 2, 1).d_K == d_K
-        else:
-            with pytest.raises(InconsistentInput, match="not a fundamental discriminant"):
-                OrderData(d_K, 2, 1)
+    for n in range(-400, 0):
+        assert (_fundamental(n) == (n, 1)) == (n in fundamental), n
 
 
 def _splitting_by_roots(d_K, ell):
@@ -167,23 +178,31 @@ def test_splitting_paper_values():
 
 
 def test_classify_paper_cases():
-    assert classify_case(OrderData(-7, 20, 1), 5).case_tag == INERT
-    assert classify_case(OrderData(-7, 20, 1), 2).case_tag == SPLIT
-    assert classify_case(OrderData(-3, 4, 2), 2).case_tag == NO_DISTORTION
-    assert classify_case(OrderData(-4, 2, 1), 2).case_tag == RAMIFIED
+    assert classify_case(OrderData(2, 701, 1), 5).case_tag == INERT
+    assert classify_case(OrderData(2, 701, 1), 2).case_tag == SPLIT
+    assert classify_case(OrderData(2, 13, 2), 2).case_tag == NO_DISTORTION
+    assert classify_case(OrderData(2, 5, 1), 2).case_tag == RAMIFIED
+
+
+def test_classify_rejects_ell_equal_to_q():
+    with pytest.raises(ValueError, match="^ell must differ from the field characteristic$"):
+        classify_case(OrderData(2, 701, 1), 701)
 
 
 def test_classify_trichotomy():
+    # t^2 - 4q = ell^2 * d_K, so f_pi = ell; each q exceeds ell
     for d_K in (-3, -4, -7, -8, -11, -15):
         for ell in (2, 3, 5, 7):
-            od = OrderData(d_K, ell, 1)
+            t, q = (ell, ell * ell * (1 - d_K) // 4) if d_K % 2 else (0, -ell * ell * d_K // 4)
+            od = OrderData(t, q, 1)
+            assert (od.d_K, od.f_pi) == (d_K, ell)
             tag = classify_case(od, ell).case_tag
             expected = {-1: INERT, 1: SPLIT, 0: RAMIFIED}[_splitting_by_roots(d_K, ell)]
             assert tag == expected
 
 
 def test_classify_note_when_ell_divides_zpi_index():
-    report = classify_case(OrderData(-7, 20, 1), 5)
+    report = classify_case(OrderData(2, 701, 1), 5)
     assert report.notes == [
         "5 divides [O : Z[pi]] = 20; classification proceeds "
         "(only ell | [O_K : O] blocks distortion maps)"
@@ -195,10 +214,10 @@ def test_classify_warns_when_ell_does_not_divide_zpi_index():
     # warning does not depend on how ell splits (7 ramifies in Q(sqrt(-7)))
     warning = ("warning: {} does not divide [O : Z[pi]] = {}; "
                "E[ell] cannot be fully rational for this curve")
-    for od, ell, tag in ((OrderData(-7, 20, 1), 7, RAMIFIED),
-                         (OrderData(-7, 20, 1), 3, INERT),
-                         (OrderData(-3, 2, 1), 3, RAMIFIED),
-                         (OrderData(-7, 20, 2), 5, INERT)):
+    for od, ell, tag in ((OrderData(2, 701, 1), 7, RAMIFIED),
+                         (OrderData(2, 701, 1), 3, INERT),
+                         (OrderData(4, 7, 1), 3, RAMIFIED),
+                         (OrderData(2, 701, 2), 5, INERT)):
         report = classify_case(od, ell)
         assert report.case_tag == tag
         if od.index_O_Zpi % ell:
@@ -337,26 +356,26 @@ def test_quadratic_roots_lower_degree():
 
 
 def test_verify_theorem1_paper_configurations(basis5, basis2, alpha, ex2_curve):
-    od_ex2 = OrderData(-7, 20, 1)
+    od_ex2 = OrderData(2, 701, 1)
     assert verify_theorem1(od_ex2, endo_matrix(alpha, basis5), 5).census_distorted == 6
     assert verify_theorem1(od_ex2, endo_matrix(alpha, basis2), 2).census_distorted == 1
-    od_ex1 = OrderData(-4, 2, 1)
+    od_ex1 = OrderData(2, 5, 1)
     assert verify_theorem1(od_ex1, matrix(2, 1, 1, 0, 1), 2).census_distorted == 2
-    od_ex4 = OrderData(-3, 4, 2)
+    od_ex4 = OrderData(2, 13, 2)
     assert verify_theorem1(od_ex4, matrix(2, 1, 0, 0, 1), 2).census_distorted == 0
 
 
 def test_verify_theorem1_mismatch():
     # a scalar matrix where distortion is predicted
     with pytest.raises(PredicateViolated):
-        verify_theorem1(OrderData(-7, 20, 1), matrix(5, 3, 0, 0, 3), 5)
+        verify_theorem1(OrderData(2, 701, 1), matrix(5, 3, 0, 0, 3), 5)
     # a non-scalar matrix where no distortion is predicted
     with pytest.raises(PredicateViolated):
-        verify_theorem1(OrderData(-3, 4, 2), matrix(2, 0, 0, 0, 1), 2)
+        verify_theorem1(OrderData(2, 13, 2), matrix(2, 0, 0, 0, 1), 2)
     # a non-scalar matrix of the wrong case: Split (two eigenlines,
     # census 4) where Inert (census 6) is predicted
     with pytest.raises(PredicateViolated, match="Split.*Inert"):
-        verify_theorem1(OrderData(-7, 20, 1), matrix(5, 1, 0, 0, 2), 5)
+        verify_theorem1(OrderData(2, 701, 1), matrix(5, 1, 0, 0, 2), 5)
 
 
 def test_predicted_counts():

@@ -326,7 +326,7 @@ REJECTED = [
     (["curve-info", "--name", "nonexistent"],
      "unknown catalog entry 'nonexistent'; have ['ex1-f13', 'ex1-f17', "
      "'ex1-f29', 'ex1-f5', 'ex2-f701', 'ex4-13', 'ex4-rational']"),
-    # ell = p, which census rejects at its TorsionContext
+    # ell = p, which classify_case rejects, as census does at its TorsionContext
     (["classify", "--p", "7", "--a4", "1", "--a6", "1", "--ell", "7"],
      "ell must differ from the field characteristic"),
     (["classify", "--name", "ex2-f701", "--ell", "701"],
@@ -336,6 +336,12 @@ REJECTED = [
     (["pairing", "--p", "11", "--a4", "1", "--a6", "5", "--ell", "11",
       "--A", "0,4", "--B", "2,2"],
      "ell must differ from the field characteristic"),
+    # O is the one name of the identity
+    (["pairing", "--name", "ex2-f701", "--ell", "5", "--A", "inf",
+      "--B", "224,31"],
+     "point must be 'x,y' or 'O', got 'inf'"),
+    (["endo-apply", "--name", "ex2-f701", "--phi", "alpha_701", "--A", "0_E"],
+     "point must be 'x,y' or 'O', got '0_E'"),
 ]
 
 
